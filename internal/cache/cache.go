@@ -106,11 +106,8 @@ const (
 //
 // The tag store is structure-of-arrays: the per-access hit scan walks
 // a dense uint64 tag array (one cache line covers an 8-way set) and
-// the flag bytes are only touched on the way that matters. The policy
-// interface is devirtualized where it counts: the LRU case (every
-// private level in the shipped hierarchy) is detected at construction
-// and called concretely, and the MissObserver capability is resolved
-// once instead of per miss.
+// the flag bytes are only touched on the way that matters. The
+// MissObserver capability is resolved once instead of per miss.
 type Cache struct {
 	geom   Geometry
 	sets   int
@@ -118,7 +115,6 @@ type Cache struct {
 	tags   []uint64 // [set*ways + way]; invalidTag = empty
 	meta   []uint8  // [set*ways + way] flag bits
 	pol    policy.Policy
-	lru    *policy.LRU         // non-nil when pol is plain LRU: direct calls
 	onMiss policy.MissObserver // cached capability; nil if not implemented
 	Stats  Stats
 }
@@ -148,7 +144,6 @@ func NewIn(a *arena.Arena, geom Geometry, newPolicy policy.Factory) (*Cache, err
 	for i := range c.tags {
 		c.tags[i] = invalidTag
 	}
-	c.lru, _ = c.pol.(*policy.LRU)
 	c.onMiss, _ = c.pol.(policy.MissObserver)
 	return c, nil
 }
@@ -205,11 +200,7 @@ func (c *Cache) Access(lineAddr uint64, write bool) bool {
 				f |= metaDirty
 			}
 			*m = f
-			if c.lru != nil {
-				c.lru.OnHit(set, w)
-			} else {
-				c.pol.OnHit(set, w)
-			}
+			c.pol.OnHit(set, w)
 			return true
 		}
 	}
@@ -241,11 +232,7 @@ func (c *Cache) Fill(lineAddr uint64, dirty, prefetched bool) Eviction {
 			if dirty {
 				c.meta[base+w] |= metaDirty
 			}
-			if c.lru != nil {
-				c.lru.OnFill(set, w)
-			} else {
-				c.pol.OnFill(set, w)
-			}
+			c.pol.OnFill(set, w)
 			return Eviction{}
 		}
 		if t == invalidTag && invalid < 0 {
@@ -255,11 +242,7 @@ func (c *Cache) Fill(lineAddr uint64, dirty, prefetched bool) Eviction {
 	way := invalid
 	var ev Eviction
 	if way < 0 {
-		if c.lru != nil {
-			way = c.lru.Victim(set)
-		} else {
-			way = c.pol.Victim(set)
-		}
+		way = c.pol.Victim(set)
 		m := c.meta[base+way]
 		ev = Eviction{Addr: c.tags[base+way], Dirty: m&metaDirty != 0, Reused: m&metaReused != 0, Valid: true}
 		c.Stats.Evictions++
@@ -276,11 +259,7 @@ func (c *Cache) Fill(lineAddr uint64, dirty, prefetched bool) Eviction {
 		m |= metaPrefetched
 	}
 	c.meta[base+way] = m
-	if c.lru != nil {
-		c.lru.OnFill(set, way)
-	} else {
-		c.pol.OnFill(set, way)
-	}
+	c.pol.OnFill(set, way)
 	return ev
 }
 

@@ -302,54 +302,14 @@ func RunSingle(p workload.Profile, cfg Config) (Result, error) {
 // context.DeadlineExceeded instead of a partial result. A panic
 // anywhere in the run comes back as a *RunPanicError rather than
 // unwinding into the caller.
-func RunSingleCtx(ctx context.Context, p workload.Profile, cfg Config) (_ Result, err error) {
-	defer Contain(p.Name, cfg, &err)
-	a := getArena()
-	defer putArena(a)
-	org, ck, err := buildLLC(cfg, a)
-	if err != nil {
-		return Result{}, err
-	}
-	sizer, err := sizerFor(p, cfg)
-	if err != nil {
-		return Result{}, err
-	}
-	mem := dram.New(dram.DefaultConfig())
-	h, err := hierarchy.NewIn(a, hierConfig(cfg), org, mem, sizer)
-	if err != nil {
-		return Result{}, err
-	}
-	core := cpu.MustNewIn(a, cpu.DefaultConfig(), h)
-	if interfacePathFrom(ctx) {
-		h.DisableFastPath()
-		core.DisableFastPath()
-	}
-	o := ObserverFrom(ctx)
-	o.attach(org, mem, core)
-	res, runErr := core.RunCtx(ctx, p.Stream(), cfg.Instructions)
-	if runErr != nil {
-		return Result{}, fmt.Errorf("sim: %s on %s aborted after %d instructions: %w",
-			p.Name, cfg.Org, res.Instructions, runErr)
-	}
-	if err := finishChecks(org, ck); err != nil {
-		return Result{}, err
-	}
-	return Result{
-		Trace:            p.Name,
-		Org:              cfg.Org,
-		Instructions:     res.Instructions,
-		Cycles:           res.Cycles,
-		IPC:              res.IPC,
-		DemandDRAMReads:  h.Stats.DemandDRAMReads,
-		DRAMReads:        mem.Stats.Reads,
-		DRAMWrites:       mem.Stats.Writes,
-		LLC:              *org.Stats(),
-		Energy:           h.EnergyCounters(res.Cycles),
-		LLCLogicalLines:  org.LogicalLines(),
-		LLCPhysicalLines: org.Sets() * org.Ways(),
-		CheckNotices:     checkNotices(ck),
-		Obs:              o.finish(org, mem, h),
-	}, nil
+func RunSingleCtx(ctx context.Context, p workload.Profile, cfg Config) (Result, error) {
+	return run(ctx, p.Name, cfg, func() (trace.Stream, hierarchy.Sizer, error) {
+		sizer, err := sizerFor(p, cfg)
+		if err != nil {
+			return nil, nil, err
+		}
+		return p.Stream(), sizer, nil
+	})
 }
 
 // RunStream executes an arbitrary instruction stream (e.g. a trace
@@ -362,11 +322,26 @@ func RunStream(s trace.Stream, sizer hierarchy.Sizer, cfg Config) (Result, error
 
 // RunStreamCtx is RunStream with the same cancellation, deadline and
 // panic-containment semantics as RunSingleCtx.
-func RunStreamCtx(ctx context.Context, s trace.Stream, sizer hierarchy.Sizer, cfg Config) (_ Result, err error) {
-	defer Contain("stream", cfg, &err)
+func RunStreamCtx(ctx context.Context, s trace.Stream, sizer hierarchy.Sizer, cfg Config) (Result, error) {
+	return run(ctx, "stream", cfg, func() (trace.Stream, hierarchy.Sizer, error) {
+		return s, sizer, nil
+	})
+}
+
+// run assembles and executes one single-thread run for RunSingleCtx
+// and RunStreamCtx. name labels the run in its result, errors and panic
+// forensics. input supplies the instruction stream and value model; it
+// is called after the LLC is built, so a configuration error is
+// reported before an input error.
+func run(ctx context.Context, name string, cfg Config, input func() (trace.Stream, hierarchy.Sizer, error)) (_ Result, err error) {
+	defer Contain(name, cfg, &err)
 	a := getArena()
 	defer putArena(a)
 	org, ck, err := buildLLC(cfg, a)
+	if err != nil {
+		return Result{}, err
+	}
+	s, sizer, err := input()
 	if err != nil {
 		return Result{}, err
 	}
@@ -376,22 +351,18 @@ func RunStreamCtx(ctx context.Context, s trace.Stream, sizer hierarchy.Sizer, cf
 		return Result{}, err
 	}
 	core := cpu.MustNewIn(a, cpu.DefaultConfig(), h)
-	if interfacePathFrom(ctx) {
-		h.DisableFastPath()
-		core.DisableFastPath()
-	}
 	o := ObserverFrom(ctx)
 	o.attach(org, mem, core)
 	res, runErr := core.RunCtx(ctx, s, cfg.Instructions)
 	if runErr != nil {
-		return Result{}, fmt.Errorf("sim: stream on %s aborted after %d instructions: %w",
-			cfg.Org, res.Instructions, runErr)
+		return Result{}, fmt.Errorf("sim: %s on %s aborted after %d instructions: %w",
+			name, cfg.Org, res.Instructions, runErr)
 	}
 	if err := finishChecks(org, ck); err != nil {
 		return Result{}, err
 	}
 	return Result{
-		Trace:            "stream",
+		Trace:            name,
 		Org:              cfg.Org,
 		Instructions:     res.Instructions,
 		Cycles:           res.Cycles,
@@ -507,10 +478,6 @@ func RunMixCtx(ctx context.Context, mix [4]workload.Profile, cfg Config) (_ Mult
 		ccfg := cpu.DefaultConfig()
 		ccfg.CodeBase = uint64(i+1)<<44 | 1<<40
 		cores[i] = cpu.MustNewIn(a, ccfg, h)
-		if interfacePathFrom(ctx) {
-			h.DisableFastPath()
-			cores[i].DisableFastPath()
-		}
 		streams[i] = p.Stream()
 		res.Mix[i] = p.Name
 	}
