@@ -1,12 +1,11 @@
 package otrace
 
 import (
-	"encoding/json"
 	"fmt"
 	"sync"
 	"time"
 
-	"basevictim/internal/atomicio"
+	"basevictim/internal/obs"
 )
 
 // Rec is one completed node-local trace: every span this peer recorded
@@ -23,21 +22,17 @@ type Rec struct {
 }
 
 // Recorder is the flight recorder: a bounded ring of the most recent
-// completed traces, modeled on obs.Ring but mutex-guarded because
-// requests complete concurrently. A nil recorder discards everything.
+// completed traces, an obs.Bounded guarded by a mutex because requests
+// complete concurrently. A nil recorder discards everything.
 type Recorder struct {
 	mu   sync.Mutex
-	buf  []Rec
-	next uint64 // total traces ever recorded
+	ring obs.Bounded[Rec]
 }
 
 // NewRecorder builds a recorder retaining the last capacity traces. A
 // non-positive capacity yields a discarding recorder.
 func NewRecorder(capacity int) *Recorder {
-	if capacity <= 0 {
-		return &Recorder{}
-	}
-	return &Recorder{buf: make([]Rec, 0, capacity)}
+	return &Recorder{ring: obs.NewBounded[Rec](capacity)}
 }
 
 // add records one completed trace, reporting whether a retained trace
@@ -48,17 +43,7 @@ func (r *Recorder) add(rec Rec) (evicted bool) {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if cap(r.buf) == 0 {
-		return false
-	}
-	if len(r.buf) < cap(r.buf) {
-		r.buf = append(r.buf, rec)
-	} else {
-		r.buf[r.next%uint64(cap(r.buf))] = rec
-		evicted = true
-	}
-	r.next++
-	return evicted
+	return r.ring.Push(rec)
 }
 
 // Total returns the number of traces ever recorded.
@@ -68,7 +53,7 @@ func (r *Recorder) Total() uint64 {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.next
+	return r.ring.Total()
 }
 
 // Evicted returns how many retained traces were overwritten.
@@ -78,7 +63,7 @@ func (r *Recorder) Evicted() uint64 {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.next - uint64(len(r.buf))
+	return r.ring.Dropped()
 }
 
 // Filter selects traces from the recorder. The zero filter matches
@@ -101,16 +86,12 @@ func (r *Recorder) Traces(f Filter) []Rec {
 		return nil
 	}
 	r.mu.Lock()
-	defer r.mu.Unlock()
-	if len(r.buf) == 0 {
-		return nil
-	}
+	recs := r.ring.Items()
+	r.mu.Unlock()
 	minUS := f.MinDur.Microseconds()
 	var out []Rec
-	// Walk backwards from the newest slot.
-	n := uint64(len(r.buf))
-	for i := uint64(1); i <= n; i++ {
-		rec := r.buf[(r.next-i)%uint64(cap(r.buf))]
+	for i := len(recs) - 1; i >= 0; i-- {
+		rec := recs[i]
 		if f.Status != "" && rec.Status != f.Status {
 			continue
 		}
@@ -129,7 +110,7 @@ func (r *Recorder) Traces(f Filter) []Rec {
 }
 
 // WriteJSONL exports the retained traces, oldest-first, to path as one
-// JSON object per line via atomic write-temp-fsync-rename. The first
+// JSON object per line via obs.WriteJSONL's atomic write. The first
 // line is a self-describing header (schema v1); each following line is
 // {"kind":"trace", ...Rec}. The schema is stable: CI parses it.
 func (r *Recorder) WriteJSONL(path, peer string) error {
@@ -137,22 +118,10 @@ func (r *Recorder) WriteJSONL(path, peer string) error {
 		return fmt.Errorf("otrace: nil recorder has nothing to export")
 	}
 	r.mu.Lock()
-	var recs []Rec
-	if len(r.buf) < cap(r.buf) {
-		recs = append(recs, r.buf...)
-	} else {
-		start := r.next % uint64(cap(r.buf))
-		recs = append(recs, r.buf[start:]...)
-		recs = append(recs, r.buf[:start]...)
-	}
-	total, retained := r.next, len(r.buf)
+	recs := r.ring.Items()
+	total, evicted := r.ring.Total(), r.ring.Dropped()
 	r.mu.Unlock()
 
-	f, err := atomicio.Create(path, 0o644)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
 	type header struct {
 		Kind     string `json:"kind"`
 		V        int    `json:"v"`
@@ -161,19 +130,13 @@ func (r *Recorder) WriteJSONL(path, peer string) error {
 		Retained int    `json:"retained"`
 		Evicted  uint64 `json:"evicted"`
 	}
-	enc := json.NewEncoder(f)
-	h := header{Kind: "otrace-header", V: 1, Peer: peer, Total: total, Retained: retained, Evicted: total - uint64(retained)}
-	if err := enc.Encode(h); err != nil {
-		return fmt.Errorf("otrace: encode header: %w", err)
-	}
 	type line struct {
 		Kind string `json:"kind"`
 		Rec
 	}
-	for _, rec := range recs {
-		if err := enc.Encode(line{Kind: "trace", Rec: rec}); err != nil {
-			return fmt.Errorf("otrace: encode trace %s: %w", rec.Trace, err)
-		}
+	lines := make([]line, len(recs))
+	for i, rec := range recs {
+		lines[i] = line{Kind: "trace", Rec: rec}
 	}
-	return f.Commit()
+	return obs.WriteJSONL(path, header{Kind: "otrace-header", V: 1, Peer: peer, Total: total, Retained: len(recs), Evicted: evicted}, lines)
 }
