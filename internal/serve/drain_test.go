@@ -10,8 +10,11 @@ package serve
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -141,14 +144,24 @@ func TestForcedDrainAbandonsButNeverCorrupts(t *testing.T) {
 	s := startServer(t, Config{Workers: 1, CacheDir: dir, Runner: g.run})
 	base := "http://" + s.Addr()
 
-	errc := make(chan error, 1)
+	// The client runs off the test goroutine, so it reports through the
+	// channel instead of failing the test itself.
+	type answer struct {
+		status int
+		body   []byte
+		err    error
+	}
+	answers := make(chan answer, 1)
 	go func() {
-		resp, _ := postJSON(t, base+"/v1/run", map[string]any{"trace": "mcf.p1", "instructions": 1000})
-		if resp.StatusCode == http.StatusOK {
-			errc <- fmt.Errorf("cancelled run reported success")
+		resp, err := http.Post(base+"/v1/run", "application/json",
+			strings.NewReader(`{"trace":"mcf.p1","instructions":1000}`))
+		if err != nil {
+			answers <- answer{err: err}
 			return
 		}
-		errc <- nil
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		answers <- answer{status: resp.StatusCode, body: body, err: err}
 	}()
 	waitStarted(t, g, 1)
 
@@ -157,8 +170,18 @@ func TestForcedDrainAbandonsButNeverCorrupts(t *testing.T) {
 	if err := s.Drain(ctx); err == nil {
 		t.Fatal("forced drain reported a clean stop")
 	}
-	if err := <-errc; err != nil {
-		t.Fatal(err)
+	var a answer
+	select {
+	case a = <-answers:
+	case <-time.After(10 * time.Second):
+		t.Fatal("no answer for the cancelled run 10s after a forced drain")
+	}
+	if a.err != nil {
+		t.Fatalf("cancelled run got no structured answer: %v", a.err)
+	}
+	var eb errorBody
+	if a.status != http.StatusServiceUnavailable || json.Unmarshal(a.body, &eb) != nil || eb.Kind != "cancelled" || eb.Error == "" {
+		t.Fatalf("cancelled run answered %d %s, want a structured 503 {\"kind\":\"cancelled\"}", a.status, a.body)
 	}
 	n, err := figures.VerifyDir(dir)
 	if err != nil {

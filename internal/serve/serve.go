@@ -304,11 +304,17 @@ func (s *Server) ExportTraces(path string) error {
 	return s.recorder.WriteJSONL(path, s.tracer.Peer())
 }
 
+// forcedCloseGrace bounds how long a forced drain waits for the
+// handlers it just cancelled to write their structured 503s before the
+// connections are closed hard.
+const forcedCloseGrace = 500 * time.Millisecond
+
 // Drain is the graceful shutdown: stop admitting (new requests shed
 // with 503), let the dispatchers finish and persist every already
 // accepted job, deliver those responses, then stop. If ctx expires
 // first the remaining runs are cancelled — workers killed, their keys
-// simply absent from the checkpoint directory, never half-written.
+// simply absent from the checkpoint directory, never half-written —
+// and their clients still get a 503 within forcedCloseGrace.
 func (s *Server) Drain(ctx context.Context) error {
 	s.drainOnce.Do(func() {
 		s.draining.Store(true)
@@ -332,7 +338,15 @@ func (s *Server) Drain(ctx context.Context) error {
 			s.drainErr = ctx.Err()
 		}
 		if s.http != nil {
-			if err := s.http.Shutdown(ctx); err != nil {
+			shutCtx := ctx
+			if ctx.Err() != nil {
+				// An expired ctx would make Shutdown return at once and
+				// Close would cut off the cancelled handlers mid-answer.
+				var cancel context.CancelFunc
+				shutCtx, cancel = context.WithTimeout(context.Background(), forcedCloseGrace)
+				defer cancel()
+			}
+			if err := s.http.Shutdown(shutCtx); err != nil {
 				s.http.Close() //nolint:errcheck // hard stop after a failed graceful one
 				if s.drainErr == nil {
 					s.drainErr = err
