@@ -18,6 +18,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -247,31 +248,83 @@ func (cc *chaosCluster) waitPeerState(i int, peer, state string) {
 	}
 }
 
+// chaosKey is one (trace, budget) request of the chaos suite.
+type chaosKey struct {
+	trace string
+	ins   uint64
+}
+
 // chaosKeys is the fixed key set the suite serves: 3 traces x 4
 // budgets, small enough to finish fast, varied enough to land on every
 // shard of a 3-node ring.
-func chaosKeys(t *testing.T) []struct {
-	trace string
-	ins   uint64
-} {
+func chaosKeys(t *testing.T) []chaosKey {
 	t.Helper()
 	suite := workload.Suite()
 	if len(suite) < 3 {
 		t.Fatalf("workload suite too small: %d", len(suite))
 	}
-	var keys []struct {
-		trace string
-		ins   uint64
-	}
+	var keys []chaosKey
 	for _, p := range suite[:3] {
 		for _, ins := range []uint64{20_000, 30_000, 40_000, 50_000} {
-			keys = append(keys, struct {
-				trace string
-				ins   uint64
-			}{p.Name, ins})
+			keys = append(keys, chaosKey{p.Name, ins})
 		}
 	}
 	return keys
+}
+
+// owner returns the index of the node that owns k on the ring, as node
+// 0 routes it while every node is alive.
+func (cc *chaosCluster) owner(k chaosKey) int {
+	cfg := sim.Default()
+	cfg.Instructions = k.ins
+	own := cc.nodes[0].cluster.Route(routeKey(k.trace, cfg), false).Owner
+	for i, a := range cc.addrs {
+		if a == own {
+			return i
+		}
+	}
+	cc.t.Fatalf("ring owner %s of %s/%d is not a cluster member", own, k.trace, k.ins)
+	return -1
+}
+
+// schedule orders keys so that every chaos window opens with a key
+// whose ring owner makes it exercise the path the suite asserts on:
+// key 0 is owned by node 1 or 2 (node 0 forwards it), key third by
+// node 1 (killed there, so it fails over) and key 2*third by node 2
+// (partitioned there, so it fails over). Ring placement hashes the
+// randomly reserved ports, so when the fixed set lacks such keys,
+// extra budgets of the first trace are appended until it has them.
+func (cc *chaosCluster) schedule(keys []chaosKey) []chaosKey {
+	owners := make([]int, len(keys))
+	count := [3]int{}
+	for i, k := range keys {
+		owners[i] = cc.owner(k)
+		count[owners[i]]++
+	}
+	for ins := keys[0].ins + 1; count[1] == 0 || count[2] == 0 || count[1]+count[2] < 3; ins++ {
+		k := chaosKey{keys[0].trace, ins}
+		o := cc.owner(k)
+		if o == 0 || (count[o] > 0 && count[1]+count[2] >= 3) {
+			continue
+		}
+		keys, owners = append(keys, k), append(owners, o)
+		count[o]++
+	}
+	// pick removes and returns the first key whose owner is accepted;
+	// the loop above guarantees one exists for each call below.
+	pick := func(accept func(int) bool) chaosKey {
+		i := slices.IndexFunc(owners, accept)
+		k := keys[i]
+		keys, owners = slices.Delete(keys, i, i+1), slices.Delete(owners, i, i+1)
+		return k
+	}
+	third := len(keys) / 3
+	killed := pick(func(o int) bool { return o == 1 })
+	cut := pick(func(o int) bool { return o == 2 })
+	forwarded := pick(func(o int) bool { return o != 0 })
+	keys = slices.Insert(keys, 0, forwarded)
+	keys = slices.Insert(keys, third, killed)
+	return slices.Insert(keys, 2*third, cut)
 }
 
 // readRecords maps record file name -> contents for a checkpoint dir,
@@ -304,8 +357,6 @@ func TestClusterChaosByteIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-node chaos suite is not short")
 	}
-	keys := chaosKeys(t)
-
 	cc := &chaosCluster{
 		t:      t,
 		addrs:  reserveAddrs(t, 3),
@@ -317,6 +368,7 @@ func TestClusterChaosByteIdentical(t *testing.T) {
 		cc.start(i)
 	}
 	t.Cleanup(cc.closeAll)
+	keys := cc.schedule(chaosKeys(t))
 
 	// The seeded schedule, expressed in key-sequence time: node 1 dies
 	// after the first third, comes back after the second third (when
