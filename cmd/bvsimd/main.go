@@ -19,8 +19,9 @@
 // peers should share one -cache-dir (or a mirrored copy of it) so any
 // node can serve any completed run byte-identically.
 // Admission is bounded (429 + Retry-After under overload or quota),
-// each simulation runs in a supervised worker process (crashes and
-// hangs retried with backoff, poison runs quarantined), and SIGTERM
+// each simulation runs in a supervised, reused worker process (crashes
+// and hangs retried with backoff on a fresh worker, poison runs
+// quarantined), and SIGTERM
 // or SIGINT drains gracefully: accepted work finishes and persists,
 // new work is refused with 503, and a restart with the same
 // -cache-dir serves the finished runs from disk byte-identically.
@@ -51,8 +52,9 @@ import (
 
 func main() {
 	if os.Getenv("BVSIMD_WORKER") != "" {
-		// Worker process: one job on stdin, result lines on stdout. The
-		// supervisor owns our lifetime (SIGKILL), so no signal handling.
+		// Worker process: jobs on stdin until EOF, heartbeat and result
+		// lines on stdout. The supervisor owns our lifetime (stdin EOF or
+		// SIGKILL), so no signal handling.
 		os.Exit(serve.WorkerMain(context.Background(), os.Stdin, os.Stdout, os.Stderr))
 	}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
@@ -73,7 +75,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		maxIns     = fs.Uint64("max-ins", 200_000_000, "per-request instruction budget cap")
 		timeout    = fs.Duration("timeout", 2*time.Minute, "default per-request deadline")
 		maxTimeout = fs.Duration("max-timeout", 10*time.Minute, "largest per-request deadline a client may ask for")
-		attempts   = fs.Int("max-attempts", 3, "worker launches per run before quarantine")
+		attempts   = fs.Int("max-attempts", 3, "worker attempts per run before quarantine")
 		heartbeat  = fs.Duration("heartbeat", 250*time.Millisecond, "worker heartbeat period")
 		hungAfter  = fs.Duration("hung-after", 0, "kill a worker silent this long (0 = 10x heartbeat)")
 		seed       = fs.Uint64("seed", 1, "retry-jitter (and chaos) seed")

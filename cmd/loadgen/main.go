@@ -10,9 +10,9 @@
 //	  -class mixed -out LOAD_cluster3.json -max-error-rate 0.01
 //
 // Each client loops: submit one run, wait for the answer, sleep to
-// hold its -rate. Requests carry distinct instruction budgets
-// (cache-busting: the checkpoint store would otherwise absorb the
-// whole load after one simulation per key) and an X-Client-ID per
+// hold its -rate. Every request of a run carries its own instruction
+// budget (cache-busting: the checkpoint store would otherwise absorb
+// the whole load after one simulation per key) and an X-Client-ID per
 // client so per-client quotas apply as they would to real tenants.
 //
 // Backpressure is the service working as designed, so 429 (quota or
@@ -333,6 +333,14 @@ func slowest(samples []sample, n int) []slowRequest {
 	return rows
 }
 
+// missBudget is the instruction budget of request seq. Distinct budgets
+// make distinct checkpoint keys, so every request of a run is real
+// work instead of a cache hit: seq is unique for the whole run, and so
+// is the budget. A run of k requests asks for at most k instructions
+// more than -ins, well inside the service's admission cap at load-test
+// scale.
+func missBudget(ins, seq uint64) uint64 { return ins + seq }
+
 // oneRequest submits a single /v1/run and classifies the outcome. A
 // request cut off by the run deadline mid-flight is dropped from the
 // error tally by reporting the context's own status (0 with ctx done
@@ -347,11 +355,8 @@ func oneRequest(ctx context.Context, client *http.Client, cfg driveConfig, clien
 		}
 	}
 	body, _ := json.Marshal(map[string]any{
-		"trace": cfg.Trace,
-		// Distinct budgets make distinct checkpoint keys, so every
-		// request is real work instead of a cache hit. Bounded offset:
-		// the admission cap (-max-ins) must still pass.
-		"instructions": cfg.Ins + seq%1024,
+		"trace":        cfg.Trace,
+		"instructions": missBudget(cfg.Ins, seq),
 		"class":        cls,
 	})
 	rctx, cancel := context.WithTimeout(ctx, cfg.Timeout)

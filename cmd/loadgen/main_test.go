@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -160,5 +161,47 @@ func TestPercentileMS(t *testing.T) {
 	}
 	if got := percentileMS([]time.Duration{7 * time.Millisecond}, 99); got != 7 {
 		t.Errorf("p99(single) = %v, want 7", got)
+	}
+}
+
+// TestMissKeysNeverRepeat: every request of a run names a distinct
+// checkpoint key, however long the run, so none is answered from the
+// cache. The requests go through oneRequest to a recording server.
+func TestMissKeysNeverRepeat(t *testing.T) {
+	type key struct {
+		Trace        string `json:"trace"`
+		Instructions uint64 `json:"instructions"`
+	}
+	var (
+		mu   sync.Mutex
+		seen []key
+	)
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		var k key
+		if err := json.NewDecoder(r.Body).Decode(&k); err != nil {
+			http.Error(w, err.Error(), http.StatusBadRequest)
+			return
+		}
+		mu.Lock()
+		seen = append(seen, k)
+		mu.Unlock()
+		w.Write([]byte(`{}`))
+	}))
+	defer srv.Close()
+	cfg := driveConfig{URL: srv.URL, Trace: "mcf.p1", Ins: 100_000, Class: "mixed", Timeout: 10 * time.Second}
+	const n = 5000
+	for seq := uint64(1); seq <= n; seq++ {
+		if s := oneRequest(context.Background(), srv.Client(), cfg, 0, int(seq), seq); s.status != http.StatusOK {
+			t.Fatalf("request %d: status %d", seq, s.status)
+		}
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	distinct := map[key]bool{}
+	for _, k := range seen {
+		distinct[k] = true
+	}
+	if len(seen) != n || len(distinct) != n {
+		t.Fatalf("%d requests named %d distinct keys, want %d of %d", len(seen), len(distinct), n, n)
 	}
 }

@@ -14,6 +14,12 @@
 // Arena is indistinguishable from fresh heap memory and simulation
 // determinism is preserved.
 //
+// An arena's footprint is bounded by its largest cycle, not by the
+// number of cycles: Reset folds a slab that had to grow into a single
+// chunk sized to the slab's high-water mark, so a reused arena stops
+// adding chunks once it has seen its largest run, whatever order runs
+// of different shapes arrive in.
+//
 // An Arena is not safe for concurrent use; parallel sessions give each
 // run its own (internal/sim pools them).
 package arena
@@ -28,38 +34,63 @@ const chunkElems = 4096
 // slab is the non-generic view of a typed slab, used for Reset.
 type slab interface {
 	reset()
+	chunkCount() int
 }
 
-// typedSlab carves []T allocations out of grow-only chunks.
+// typedSlab carves []T allocations out of grow-only chunks, first fit:
+// a carve goes into the first chunk with room, so a slab that had to
+// grow still fills the tail of its older chunks with later, smaller
+// carves.
 type typedSlab[T any] struct {
 	chunks [][]T
-	ci     int // chunk being carved
-	off    int // carve offset within chunks[ci]
+	offs   []int // carve offset within each chunk
+	used   int   // elements carved since the last reset
+	peak   int   // largest used seen at a reset
 }
 
-func (s *typedSlab[T]) reset() { s.ci, s.off = 0, 0 }
+// reset rewinds the slab. A slab that needed more than one chunk drops
+// them, and its next alloc makes one chunk of the high-water mark:
+// carving from a single chunk wastes nothing at chunk ends, so every
+// later cycle no larger than the largest so far fits without growing.
+// The merged chunk is made lazily so that a collection between cycles
+// can hand the dropped chunks' memory to it.
+func (s *typedSlab[T]) reset() {
+	s.peak = max(s.peak, s.used)
+	if len(s.chunks) > 1 {
+		s.chunks, s.offs = nil, nil
+	}
+	clear(s.offs)
+	s.used = 0
+}
+
+// chunkCount counts the slab's chunks; a slab whose chunks Reset
+// dropped counts the one merged chunk its next alloc makes.
+func (s *typedSlab[T]) chunkCount() int {
+	if len(s.chunks) == 0 && s.peak > 0 {
+		return 1
+	}
+	return len(s.chunks)
+}
 
 func (s *typedSlab[T]) alloc(n int) []T {
-	for s.ci < len(s.chunks) {
-		if c := s.chunks[s.ci]; len(c)-s.off >= n {
-			out := c[s.off : s.off+n : s.off+n]
-			s.off += n
+	s.used += n
+	for i, c := range s.chunks {
+		if off := s.offs[i]; len(c)-off >= n {
+			out := c[off : off+n : off+n]
+			s.offs[i] = off + n
 			// Reused chunks hold a previous run's state; zero the
 			// carve-out so determinism does not depend on pool history.
 			clear(out)
 			return out
 		}
-		s.ci++
-		s.off = 0
 	}
-	size := n
-	if size < chunkElems {
-		size = chunkElems
+	size := max(n, chunkElems)
+	if len(s.chunks) == 0 {
+		size = max(size, s.peak)
 	}
 	c := make([]T, size) // fresh chunks are already zero
 	s.chunks = append(s.chunks, c)
-	s.ci = len(s.chunks) - 1
-	s.off = n
+	s.offs = append(s.offs, n)
 	return c[:n:n]
 }
 
@@ -78,13 +109,25 @@ func New() *Arena {
 	return &Arena{byType: make(map[reflect.Type]slab)}
 }
 
-// Reset recycles every slab: existing chunks are kept and re-carved by
-// subsequent Make calls. Slices handed out before Reset must no longer
-// be used; they will be zeroed and recycled.
+// Reset recycles every slab: its chunks are kept (or merged into one,
+// see typedSlab.reset) and re-carved by subsequent Make calls. Slices
+// handed out before Reset must no longer be used; they will be zeroed
+// and recycled.
 func (a *Arena) Reset() {
 	for _, s := range a.order {
 		s.reset()
 	}
+}
+
+// Chunks reports how many chunks the arena holds across all its typed
+// slabs. A reused arena whose count stops rising has reached its
+// steady footprint.
+func (a *Arena) Chunks() int {
+	n := 0
+	for _, s := range a.order {
+		n += s.chunkCount()
+	}
+	return n
 }
 
 // Make returns a zeroed []T of length (and capacity) n carved from the

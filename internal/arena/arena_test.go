@@ -1,6 +1,7 @@
 package arena
 
 import (
+	"reflect"
 	"testing"
 )
 
@@ -123,5 +124,62 @@ func TestManySmallAllocationsShareChunks(t *testing.T) {
 				t.Fatalf("slice %d stomped at %d", i, j)
 			}
 		}
+	}
+}
+
+// TestResetMergesToHighWater: cycles with different size sequences
+// make a slab grow extra chunks; Reset folds them into one chunk per
+// type sized to the largest cycle, after which no cycle of the same
+// shapes adds a chunk, in any order.
+func TestResetMergesToHighWater(t *testing.T) {
+	a := New()
+	cycles := [][]int{
+		{3000, 3000},       // second carve spills into a new chunk
+		{100, 5000, 100},   // oversized carve gets its own chunk
+		{4096, 1, 4096, 1}, // exactly fills, then spills
+		{10},
+	}
+	run := func(sizes []int) {
+		for _, n := range sizes {
+			s := Make[uint32](a, n)
+			for i := range s {
+				if s[i] != 0 {
+					t.Fatalf("carve of %d not zeroed at %d", n, i)
+				}
+				s[i] = 1
+			}
+			Make[byte](a, n)
+		}
+		a.Reset()
+	}
+	for _, c := range cycles {
+		run(c)
+	}
+	if got := a.Chunks(); got != 2 {
+		t.Fatalf("after one pass: %d chunks, want one per type (2)", got)
+	}
+	for pass := 0; pass < 2; pass++ {
+		for i := len(cycles) - 1; i >= 0; i-- {
+			run(cycles[i])
+			if got := a.Chunks(); got != 2 {
+				t.Fatalf("pass %d cycle %v grew the arena to %d chunks", pass, cycles[i], got)
+			}
+		}
+	}
+	// The merged chunk is sized to the largest cycle, not the sum.
+	if s := a.byType[reflect.TypeFor[uint32]()].(*typedSlab[uint32]); len(s.chunks[0]) != 8194 {
+		t.Fatalf("merged chunk holds %d elements, want the 8194-element high-water mark", len(s.chunks[0]))
+	}
+}
+
+// TestSingleChunkNotReallocated: a slab that never grew keeps its
+// chunk across Reset, so steady reuse stays allocation-free.
+func TestSingleChunkNotReallocated(t *testing.T) {
+	a := New()
+	s := Make[uint64](a, 10)
+	base := &s[0]
+	a.Reset()
+	if got := &Make[uint64](a, 10)[0]; got != base {
+		t.Fatal("Reset replaced a slab that never grew")
 	}
 }

@@ -169,6 +169,11 @@ type Session struct {
 	// runFn is the simulation entry point; tests swap it to count or
 	// fail runs. Nil means sim.RunSingleCtx.
 	runFn func(context.Context, workload.Profile, sim.Config) (sim.Result, error)
+
+	// stopped, when non-nil, is called each time runJobs tells its
+	// workers to stop after a failure; tests use it to order the stop
+	// against the jobs still running.
+	stopped func()
 }
 
 // runKey identifies one memoized simulation. sim.Config contains only

@@ -169,16 +169,25 @@ func TestParallelViolationPropagates(t *testing.T) {
 
 // TestRunJobsStopsAfterFailure checks the cancel-on-first-violation
 // behavior: once a job fails, unstarted jobs never run, and the error
-// reported is the lowest-indexed failure.
+// reported is the lowest-indexed failure. Jobs after the failing one
+// are held until the pool has been told to stop, so the other worker
+// cannot race through the rest of the batch first.
 func TestRunJobsStopsAfterFailure(t *testing.T) {
-	s := parallelSession(2)
+	const workers = 2
+	s := parallelSession(workers)
 	const n = 64
 	var ran sync.Map
 	failAt := 5
+	stopped := make(chan struct{})
+	var once sync.Once
+	s.stopped = func() { once.Do(func() { close(stopped) }) }
 	err := s.runJobs(context.Background(), n, func(i int) error {
 		ran.Store(i, true)
 		if i == failAt {
 			return fmt.Errorf("job %d failed", i)
+		}
+		if i > failAt {
+			<-stopped
 		}
 		return nil
 	})
@@ -189,6 +198,10 @@ func TestRunJobsStopsAfterFailure(t *testing.T) {
 	ran.Range(func(_, _ any) bool { total++; return true })
 	if total == n {
 		t.Fatal("every job ran despite an early failure; pool did not cancel")
+	}
+	// Each worker can hold at most one job past the failure.
+	if total > failAt+workers {
+		t.Fatalf("%d jobs ran, want at most %d: jobs started after the stop", total, failAt+workers)
 	}
 }
 

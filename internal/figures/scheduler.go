@@ -69,6 +69,9 @@ func (s *Session) runJobs(ctx context.Context, n int, job func(i int) error) err
 				var pe *sim.RunPanicError
 				if !errors.As(err, &pe) {
 					stop.Store(true)
+					if s.stopped != nil {
+						s.stopped()
+					}
 				}
 			}
 		}

@@ -42,6 +42,7 @@ import (
 	"context"
 	"fmt"
 	"net/http"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -310,6 +311,19 @@ func (sp *Span) Fail(err error) {
 	sp.a.mu.Unlock()
 }
 
+// Record adds a finished child span over [start, end] with the given
+// attributes: work timed by a process with no tracer of its own (a
+// worker reporting its run), grafted into the tree after the fact.
+func (sp *Span) Record(name, kind string, start, end time.Time, attrs ...Attr) {
+	c := sp.Child(name, kind)
+	if c == nil {
+		return
+	}
+	c.start = start // c is not shared yet
+	c.attrs = attrs
+	c.endAt(end)
+}
+
 // End finishes the span. Ending the root span publishes every span
 // this node recorded for the trace to the flight recorder; spans still
 // open at that point (a hedge leg that lost) are dropped when they
@@ -318,6 +332,10 @@ func (sp *Span) End() {
 	if sp == nil {
 		return
 	}
+	sp.endAt(time.Now())
+}
+
+func (sp *Span) endAt(end time.Time) {
 	a := sp.a
 	a.mu.Lock()
 	if sp.ended {
@@ -342,7 +360,7 @@ func (sp *Span) End() {
 		Kind:    sp.kind,
 		Peer:    a.tracer.cfg.Peer,
 		StartUS: sp.start.UnixMicro(),
-		DurUS:   time.Since(sp.start).Microseconds(),
+		DurUS:   end.Sub(sp.start).Microseconds(),
 		Status:  status,
 		Err:     sp.errMsg,
 		Attrs:   sp.attrs,
@@ -366,7 +384,10 @@ func (sp *Span) End() {
 			Status:  status,
 			StartUS: rec.StartUS,
 			DurUS:   rec.DurUS,
-			Spans:   a.spans,
+			// The ring keeps a right-sized copy: the assembly's slice
+			// grows by doubling, so one span past a power of two would
+			// otherwise keep twice the records for every retained trace.
+			Spans: slices.Clone(a.spans),
 		}
 	}
 	a.mu.Unlock()

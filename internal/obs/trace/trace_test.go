@@ -28,6 +28,7 @@ func TestNilSafety(t *testing.T) {
 	sp.SetAttrInt("n", 1)
 	sp.Fail(errors.New("boom"))
 	sp.Inject(http.Header{})
+	sp.Record("graft", KindInternal, time.Now(), time.Now())
 	sp.End()
 	if got := sp.TraceID(); got != "" {
 		t.Fatalf("nil span TraceID = %q", got)
@@ -73,6 +74,38 @@ func TestDeterministicIDs(t *testing.T) {
 	peer := New(Config{Seed: 7, Peer: "b:2"}).Start("root", KindServer, "", "")
 	if peer.TraceID() == a[0] {
 		t.Fatalf("peers a:1 and b:2 minted the same first trace ID %q", a[0])
+	}
+}
+
+// TestRecordGraftsFinishedChild: Record adds a child with the reported
+// interval and attributes, parented under the span it was called on.
+func TestRecordGraftsFinishedChild(t *testing.T) {
+	rec := NewRecorder(4)
+	tr := New(Config{Seed: 1, Peer: "a:1", Recorder: rec})
+	root := tr.Start("root", KindServer, "", "")
+	start := time.Now()
+	root.Record("worker.run", KindInternal, start, start.Add(1500*time.Microsecond),
+		Attr{K: "run_us", V: "1400"})
+	root.End()
+	got := rec.Traces(Filter{})
+	if len(got) != 1 || len(got[0].Spans) != 2 {
+		t.Fatalf("recorded %+v, want one trace of two spans", got)
+	}
+	var run *SpanRec
+	for i := range got[0].Spans {
+		if got[0].Spans[i].Name == "worker.run" {
+			run = &got[0].Spans[i]
+		}
+	}
+	if run == nil || run.Parent != root.ID() {
+		t.Fatalf("worker.run span %+v, want a child of %s", run, root.ID())
+	}
+	if run.StartUS != start.UnixMicro() || run.DurUS != 1500 || run.Status != StatusOK {
+		t.Fatalf("worker.run start=%d dur=%d status=%s, want start=%d dur=1500 status=ok",
+			run.StartUS, run.DurUS, run.Status, start.UnixMicro())
+	}
+	if len(run.Attrs) != 1 || run.Attrs[0] != (Attr{K: "run_us", V: "1400"}) {
+		t.Fatalf("worker.run attrs = %v", run.Attrs)
 	}
 }
 

@@ -1,20 +1,24 @@
 package serve
 
 // Deterministic fault injection for the service's chaos harness. A
-// chaos spec names which worker launches misbehave, by 1-based launch
-// index, so a test (or the CI chaos job) can script an exact failure
-// sequence and assert the recovery path — no sleeps, no probability.
+// chaos spec names which worker dispatches misbehave, by 1-based
+// dispatch index, so a test (or the CI chaos job) can script an exact
+// failure sequence and assert the recovery path — no sleeps, no
+// probability. The index counts attempts handed to a worker process,
+// service-wide, whether the worker was just started or reused; a
+// faulted worker is always replaced, so the next dispatch never
+// inherits the fault.
 //
 // Grammar: comma-separated directives.
 //
-//	kill@N    SIGKILL the Nth worker launch after its first heartbeat
-//	stall@N   the Nth launch heartbeats once, then hangs forever
+//	kill@N    SIGKILL the worker of the Nth dispatch after its first heartbeat
+//	stall@N   the Nth dispatch's worker heartbeats once, then hangs forever
 //	          (the supervisor's hung-run detector must kill it)
-//	kill%N    kill every Nth launch (kill%1 = kill them all)
-//	stall%N   stall every Nth launch
+//	kill%N    kill every Nth dispatch (kill%1 = kill them all)
+//	stall%N   stall every Nth dispatch
 //
-// Directives compose: "kill@1,stall@2" fails the first two launches
-// in different ways; the third, clean, launch must then succeed.
+// Directives compose: "kill@1,stall@2" fails the first two dispatches
+// in different ways; the third, clean, dispatch must then succeed.
 
 import (
 	"fmt"
@@ -79,15 +83,15 @@ func parseChaos(s string) (*chaosSpec, error) {
 }
 
 // action reports what (if anything) should go wrong with the given
-// worker launch. Kill wins when both verbs match one launch.
-func (c *chaosSpec) action(launch int) chaosAction {
+// worker dispatch. Kill wins when both verbs match one dispatch.
+func (c *chaosSpec) action(dispatch int) chaosAction {
 	if c == nil {
 		return chaosNone
 	}
-	if c.killAt[launch] || (c.killEvery > 0 && launch%c.killEvery == 0) {
+	if c.killAt[dispatch] || (c.killEvery > 0 && dispatch%c.killEvery == 0) {
 		return chaosKill
 	}
-	if c.stallAt[launch] || (c.stallEvery > 0 && launch%c.stallEvery == 0) {
+	if c.stallAt[dispatch] || (c.stallEvery > 0 && dispatch%c.stallEvery == 0) {
 		return chaosStall
 	}
 	return chaosNone

@@ -56,6 +56,7 @@ func TestChaosKillRetries(t *testing.T) {
 		"serve.worker_chaos_kills": 1,
 		"serve.worker_restarts":    1,
 		"serve.worker_retries":     1,
+		"serve.worker_spawns":      2, // the killed worker is replaced, never reused
 	} {
 		if n := counterValue(t, s, name); n != want {
 			t.Errorf("%s = %d, want %d", name, n, want)
@@ -87,6 +88,9 @@ func TestChaosStallHungKill(t *testing.T) {
 	if n := counterValue(t, s, "serve.worker_hung_kills"); n != 1 {
 		t.Errorf("hung_kills = %d, want 1", n)
 	}
+	if n := counterValue(t, s, "serve.worker_spawns"); n != 2 {
+		t.Errorf("serve.worker_spawns = %d, want 2 (the hung worker is replaced)", n)
+	}
 }
 
 // TestChaosKillAllQuarantine: every launch dies, so the run exhausts
@@ -113,9 +117,9 @@ func TestChaosKillAllQuarantine(t *testing.T) {
 	if n := counterValue(t, s, "serve.quarantined"); n != 1 {
 		t.Errorf("serve.quarantined counter = %d, want 1", n)
 	}
-	launches := s.pool.launches.Load()
+	dispatches := s.pool.dispatches.Load()
 	// The poison key fails fast now: same structured error, no new
-	// worker launches.
+	// worker dispatches.
 	resp2, body2 := postJSON(t, base+"/v1/run", req)
 	if resp2.StatusCode != http.StatusInternalServerError {
 		t.Fatalf("repeat status %d (%s), want fast 500", resp2.StatusCode, body2)
@@ -124,8 +128,8 @@ func TestChaosKillAllQuarantine(t *testing.T) {
 	if err := json.Unmarshal(body2, &eb2); err != nil || eb2.Kind != kindQuarantined {
 		t.Fatalf("repeat body %s, want kind %q", body2, kindQuarantined)
 	}
-	if after := s.pool.launches.Load(); after != launches {
-		t.Errorf("quarantined repeat launched %d more workers", after-launches)
+	if after := s.pool.dispatches.Load(); after != dispatches {
+		t.Errorf("quarantined repeat dispatched %d more attempts", after-dispatches)
 	}
 	// A different key is untouched by the quarantine bookkeeping (it
 	// will die too under kill%1, but it must get its own attempts).

@@ -93,7 +93,7 @@ func TestDrainPersistsThenServesFromDisk(t *testing.T) {
 		t.Fatalf("serve.shed_draining = %d after a mid-drain request, want 1", n)
 	}
 	close(g.release) // let all four accepted runs finish
-	if err := <-drainDone; err != nil {
+	if err := recvWithin(t, drainDone, "the graceful drain to finish"); err != nil {
 		t.Fatalf("graceful drain reported %v", err)
 	}
 	wg.Wait()
@@ -147,9 +147,10 @@ func TestForcedDrainAbandonsButNeverCorrupts(t *testing.T) {
 	// The client runs off the test goroutine, so it reports through the
 	// channel instead of failing the test itself.
 	type answer struct {
-		status int
-		body   []byte
-		err    error
+		status     int
+		retryAfter string
+		body       []byte
+		err        error
 	}
 	answers := make(chan answer, 1)
 	go func() {
@@ -161,7 +162,7 @@ func TestForcedDrainAbandonsButNeverCorrupts(t *testing.T) {
 		}
 		body, err := io.ReadAll(resp.Body)
 		resp.Body.Close()
-		answers <- answer{status: resp.StatusCode, body: body, err: err}
+		answers <- answer{status: resp.StatusCode, retryAfter: resp.Header.Get("Retry-After"), body: body, err: err}
 	}()
 	waitStarted(t, g, 1)
 
@@ -182,6 +183,9 @@ func TestForcedDrainAbandonsButNeverCorrupts(t *testing.T) {
 	var eb errorBody
 	if a.status != http.StatusServiceUnavailable || json.Unmarshal(a.body, &eb) != nil || eb.Kind != "cancelled" || eb.Error == "" {
 		t.Fatalf("cancelled run answered %d %s, want a structured 503 {\"kind\":\"cancelled\"}", a.status, a.body)
+	}
+	if a.retryAfter == "" {
+		t.Fatal("forced-drain 503 carries no Retry-After")
 	}
 	n, err := figures.VerifyDir(dir)
 	if err != nil {

@@ -378,11 +378,11 @@ func (s *Server) writeCtxEnd(w http.ResponseWriter, err error) {
 		writeError(w, http.StatusGatewayTimeout, "deadline", "run did not finish within the request deadline")
 		return
 	}
-	// The client hung up (or the server is force-stopping): nobody is
-	// reading this response, but the connection teardown is still the
-	// polite place to stop writing.
+	// The client hung up (or the server is force-stopping): a gone
+	// client reads nothing, but a forced drain's client does, and like
+	// every other 503 it is told when to come back.
 	s.m.touch(s.m.clientGone.Inc)
-	writeError(w, http.StatusServiceUnavailable, "cancelled", "request cancelled")
+	writeShed(w, http.StatusServiceUnavailable, "cancelled", "request cancelled", time.Second)
 }
 
 // writeRunOutcome maps a finished job to its response. RunError kinds

@@ -25,8 +25,9 @@ type metrics struct {
 	shedDrain    *obs.Counter // 503: refused while draining
 	clientGone   *obs.Counter // request context ended before delivery
 	runsExecuted *obs.Counter // runner invocations (cache misses)
-	retries      *obs.Counter // worker re-launches after a retryable fault
-	restarts     *obs.Counter // worker processes that died without a result
+	retries      *obs.Counter // attempts re-dispatched after a retryable fault
+	restarts     *obs.Counter // attempts whose worker died without a result
+	workerSpawns *obs.Counter // worker processes started (first use and replacements)
 	hungKills    *obs.Counter // workers killed by the heartbeat watchdog
 	chaosKills   *obs.Counter // workers killed by injected chaos
 	quarantined  *obs.Counter // keys poisoned after MaxAttempts failures
@@ -44,7 +45,7 @@ type metrics struct {
 	draining         *obs.Gauge // 1 once drain has begun
 	quotaClients     *obs.Gauge // live per-client quota buckets
 
-	attempts  *obs.Histogram // launches needed per successful pool run
+	attempts  *obs.Histogram // attempts needed per successful pool run
 	requestMS *obs.Histogram // /v1/run wall latency, with trace-ID exemplars
 }
 
@@ -61,6 +62,7 @@ func newMetrics() *metrics {
 		runsExecuted:     reg.Counter("serve.runs_executed"),
 		retries:          reg.Counter("serve.worker_retries"),
 		restarts:         reg.Counter("serve.worker_restarts"),
+		workerSpawns:     reg.Counter("serve.worker_spawns"),
 		hungKills:        reg.Counter("serve.worker_hung_kills"),
 		chaosKills:       reg.Counter("serve.worker_chaos_kills"),
 		quarantined:      reg.Counter("serve.quarantined"),

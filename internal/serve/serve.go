@@ -38,7 +38,8 @@ import (
 // serving default, and chaos is off.
 type Config struct {
 	// Workers is the number of concurrent simulations (dispatcher
-	// goroutines, each driving at most one worker process). Default 2.
+	// goroutines, each driving at most one worker process at a time)
+	// and the most worker processes kept alive between jobs. Default 2.
 	Workers int
 	// QueueDepth bounds the admission queue; a request that does not
 	// fit is shed with 429, never parked. Default 64.
@@ -54,7 +55,7 @@ type Config struct {
 	// MaxInstructions caps the per-request instruction budget.
 	// Default 200M (the paper's full-length runs).
 	MaxInstructions uint64
-	// MaxAttempts is worker launches per run before quarantine;
+	// MaxAttempts is worker attempts per run before quarantine;
 	// BackoffBase/BackoffCap and Seed shape the retry schedule.
 	MaxAttempts int
 	BackoffBase time.Duration
@@ -333,9 +334,12 @@ func (s *Server) Drain(ctx context.Context) error {
 		select {
 		case <-done:
 		case <-ctx.Done():
-			s.cancelBase() // cancels every request ctx, which kills the workers
+			s.cancelBase() // cancels every request ctx, which kills the busy workers
 			<-done
 			s.drainErr = ctx.Err()
+		}
+		if s.pool != nil {
+			s.pool.close() // no dispatcher is left, so every live worker is idle
 		}
 		if s.http != nil {
 			shutCtx := ctx

@@ -112,6 +112,25 @@ func expectResult(t *testing.T, trace string, ins uint64) sim.Result {
 	return r
 }
 
+// recvLimit bounds every wait on a test channel: a hang fails fast,
+// naming what never arrived, instead of running into the package
+// timeout.
+const recvLimit = 30 * time.Second
+
+// recvWithin receives one value from ch, failing the test with what
+// it was waiting for if none arrives within recvLimit.
+func recvWithin[T any](t *testing.T, ch <-chan T, what string) T {
+	t.Helper()
+	select {
+	case v := <-ch:
+		return v
+	case <-time.After(recvLimit):
+		t.Fatalf("waited %v for %s", recvLimit, what)
+	}
+	var zero T
+	return zero
+}
+
 func counterValue(t *testing.T, s *Server, name string) uint64 {
 	t.Helper()
 	return s.m.snapshot().Counters[name]
@@ -407,7 +426,7 @@ func TestClientDisconnectCancelsRun(t *testing.T) {
 	}()
 	waitStarted(t, g, 1) // the run is in flight
 	cancelReq()          // client hangs up
-	if err := <-errc; err == nil {
+	if err := recvWithin(t, errc, "the cancelled request to return"); err == nil {
 		t.Fatal("cancelled request reported success")
 	}
 	// Wait for the dispatcher to finish the cancelled job (which also
@@ -508,7 +527,7 @@ func TestSweepAtomicAdmission(t *testing.T) {
 	}()
 	close(g.release)
 	wg.Wait()
-	out := <-done
+	out := recvWithin(t, done, "the fitting sweep's answer")
 	if out.resp.StatusCode != http.StatusOK {
 		t.Fatalf("fitting sweep: status %d (%s)", out.resp.StatusCode, out.body)
 	}
@@ -566,11 +585,11 @@ func TestDrainSheds503(t *testing.T) {
 		t.Fatalf("healthz while draining: %d, want 503", resp.StatusCode)
 	}
 	close(g.release)
-	out := <-accepted
+	out := recvWithin(t, accepted, "the accepted run's answer")
 	if out.resp.StatusCode != http.StatusOK {
 		t.Fatalf("accepted run ended %d during drain: %s", out.resp.StatusCode, out.body)
 	}
-	if err := <-drainDone; err != nil {
+	if err := recvWithin(t, drainDone, "the drain to finish"); err != nil {
 		t.Fatalf("drain with finished work reported %v", err)
 	}
 }

@@ -16,6 +16,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"os"
+	"strconv"
 	"testing"
 	"time"
 
@@ -182,6 +183,54 @@ func TestRequestTraceRecorded(t *testing.T) {
 	}
 	if !found {
 		t.Fatalf("serve.request_ms exemplars %v do not name trace %s", h.Exemplars, id)
+	}
+}
+
+// TestWorkerSpansSpawnThenReuse: a miss that starts a worker process
+// carries worker.spawn and worker.run under its worker.attempt; the
+// next miss, served by the same reused worker, carries worker.run
+// alone, so the trace shows the spawn cost gone without subtraction.
+func TestWorkerSpansSpawnThenReuse(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns worker processes")
+	}
+	cfg := Config{Workers: 1}
+	fastPool(&cfg)
+	s := startServer(t, cfg)
+	for i, tc := range []struct {
+		id    string
+		spawn bool
+	}{{"00000000000000c1", true}, {"00000000000000c2", false}} {
+		res := postTraced(t, s.Addr(), tc.id, runRequest{Trace: "mcf.p1", Instructions: 20_000 + uint64(i)})
+		if res.StatusCode != http.StatusOK {
+			t.Fatalf("request %d: status %d", i, res.StatusCode)
+		}
+		rec := waitTrace(t, s.Addr(), tc.id)
+		checkParentage(t, rec.Spans)
+		att := spanByName(rec, "worker.attempt")
+		run := spanByName(rec, "worker.run")
+		if att == nil || run == nil {
+			t.Fatalf("request %d: worker.attempt or worker.run missing from %+v", i, rec.Spans)
+		}
+		if run.Parent != att.ID {
+			t.Errorf("request %d: worker.run parent = %s, want worker.attempt %s", i, run.Parent, att.ID)
+		}
+		if us, err := strconv.ParseInt(attrOf(run, "run_us"), 10, 64); err != nil || us <= 0 || run.DurUS < us {
+			t.Errorf("request %d: worker.run dur=%dus run_us=%q, want the reported simulation time inside the span",
+				i, run.DurUS, attrOf(run, "run_us"))
+		}
+		spawn := spanByName(rec, "worker.spawn")
+		switch {
+		case tc.spawn && spawn == nil:
+			t.Errorf("request %d started a worker but has no worker.spawn span", i)
+		case tc.spawn && spawn.Parent != att.ID:
+			t.Errorf("request %d: worker.spawn parent = %s, want worker.attempt %s", i, spawn.Parent, att.ID)
+		case !tc.spawn && spawn != nil:
+			t.Errorf("request %d reused a worker but carries a worker.spawn span %+v", i, spawn)
+		}
+	}
+	if n := counterValue(t, s, "serve.worker_spawns"); n != 1 {
+		t.Fatalf("serve.worker_spawns = %d, want 1", n)
 	}
 }
 

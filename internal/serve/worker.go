@@ -2,13 +2,20 @@ package serve
 
 // The worker side of the supervisor/worker protocol. bvsimd re-execs
 // its own binary with BVSIMD_WORKER=1 in the environment; the child
-// calls WorkerMain, which:
+// calls WorkerMain, which serves jobs until its stdin ends. For each
+// jobEnvelope (JSON) it reads from stdin, it:
 //
-//  1. reads one jobEnvelope (JSON) from stdin,
-//  2. emits an immediate first heartbeat line, then one every
+//  1. emits an immediate first heartbeat line, then one every
 //     HeartbeatMS while the simulation runs,
-//  3. emits exactly one terminal line — {"result": ...} or
-//     {"error": ..., "kind": ...} — and exits 0.
+//  2. emits exactly one terminal line — {"result": ...} or
+//     {"error": ..., "kind": ...} — carrying the time it spent in its
+//     own setup and in the simulation, and nothing after it until the
+//     next envelope.
+//
+// On stdin EOF it exits 0, so a supervisor that sends one job and
+// closes stdin gets the one-job form. The supervisor reuses a worker
+// across jobs and replaces it after a crash, a hang, a cancelled run
+// or a protocol error (see pool.go).
 //
 // Everything on stdout is newline-delimited JSON; stderr is free-form
 // diagnostics that the supervisor attaches to crash errors. A worker
@@ -25,6 +32,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"runtime/debug"
 	"sync"
 	"time"
 
@@ -37,7 +45,7 @@ import (
 // it first thing in main and diverts into WorkerMain.
 const workerEnvVar = "BVSIMD_WORKER"
 
-// jobEnvelope is the one job a worker process runs.
+// jobEnvelope is one job for a worker process.
 type jobEnvelope struct {
 	Trace       string     `json:"trace"`
 	Config      sim.Config `json:"config"`
@@ -52,12 +60,17 @@ type jobEnvelope struct {
 
 // workerLine is one newline-delimited JSON message from the worker.
 // Exactly one field group is set: HB for heartbeats, Result for
-// success, Error+Kind for structured failure.
+// success, Error+Kind for structured failure. Terminal lines also
+// carry SetupUS, the worker's own time from envelope to simulation
+// start, and RunUS, the time in sim.RunSingleCtx; the supervisor
+// grafts them into the request trace as the worker.run span.
 type workerLine struct {
-	HB     bool        `json:"hb,omitempty"`
-	Result *sim.Result `json:"result,omitempty"`
-	Error  string      `json:"error,omitempty"`
-	Kind   string      `json:"kind,omitempty"`
+	HB      bool        `json:"hb,omitempty"`
+	Result  *sim.Result `json:"result,omitempty"`
+	Error   string      `json:"error,omitempty"`
+	Kind    string      `json:"kind,omitempty"`
+	SetupUS int64       `json:"setup_us,omitempty"`
+	RunUS   int64       `json:"run_us,omitempty"`
 }
 
 // Failure kinds a worker can report. Every kind is terminal (the
@@ -83,18 +96,43 @@ func (w *lineWriter) send(ln workerLine) {
 	w.enc.Encode(ln) //nolint:errcheck // a broken pipe means the supervisor is gone; the next write or exit ends us
 }
 
-// WorkerMain is the worker-process entry point. It returns the process
-// exit code; protocol-level failures (undecodable envelope) are the
-// only nonzero exits.
+// WorkerMain is the worker-process entry point. It serves jobs from
+// stdin until EOF and returns the process exit code; protocol-level
+// failures (undecodable envelope) are the only nonzero exits.
+//
+// Between jobs, after the terminal line is out, the worker collects
+// the finished job's garbage and returns the freed pages to the OS
+// (debug.FreeOSMemory, about 0.2 ms with the worker's pointer-free
+// arena heap). The simulation arena itself is held for the worker's
+// life (internal/sim), so each job starts from the same live state
+// and a reused worker's resident peak stays that of a one-job worker,
+// with no memory limit to slow a run whose live state is large.
 func WorkerMain(ctx context.Context, stdin io.Reader, stdout, stderr io.Writer) int {
-	var job jobEnvelope
 	dec := json.NewDecoder(stdin)
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(&job); err != nil {
-		fmt.Fprintf(stderr, "bvsimd worker: bad job envelope: %v\n", err)
-		return 1
-	}
 	out := &lineWriter{enc: json.NewEncoder(stdout)}
+	suite := workload.Suite()
+	for {
+		var job jobEnvelope
+		if err := dec.Decode(&job); err != nil {
+			if errors.Is(err, io.EOF) {
+				return 0
+			}
+			fmt.Fprintf(stderr, "bvsimd worker: bad job envelope: %v\n", err)
+			return 1
+		}
+		if !serveJob(ctx, job, suite, out) {
+			return 0
+		}
+		debug.FreeOSMemory()
+	}
+}
+
+// serveJob runs one job under the heartbeat protocol and reports
+// whether the worker may take another. It returns false only for an
+// injected stall, which ends when ctx does.
+func serveJob(ctx context.Context, job jobEnvelope, suite []workload.Profile, out *lineWriter) bool {
+	t0 := time.Now()
 	// First heartbeat before any work: the supervisor uses it both to
 	// arm chaos kills deterministically and to distinguish "worker
 	// never started" from "worker died mid-run".
@@ -105,7 +143,7 @@ func WorkerMain(ctx context.Context, stdin io.Reader, stdout, stderr io.Writer) 
 		// supervisor's watchdog must SIGKILL us; waiting on ctx keeps
 		// the goroutine parked instead of spinning.
 		<-ctx.Done()
-		return 0
+		return false
 	}
 
 	hb := time.Duration(job.HeartbeatMS) * time.Millisecond
@@ -129,23 +167,28 @@ func WorkerMain(ctx context.Context, stdin io.Reader, stdout, stderr io.Writer) 
 		}
 	}()
 
-	res, err := runJob(ctx, job)
+	var (
+		res sim.Result
+		err error
+	)
+	p, ok := workload.ByName(suite, job.Trace)
+	t1 := time.Now()
+	if ok {
+		res, err = sim.RunSingleCtx(ctx, p, job.Config)
+	} else {
+		err = fmt.Errorf("unknown trace %q", job.Trace)
+	}
+	t2 := time.Now()
 	close(stop)
 	wg.Wait() // no heartbeat may trail the terminal line
+	ln := workerLine{SetupUS: t1.Sub(t0).Microseconds(), RunUS: t2.Sub(t1).Microseconds()}
 	if err != nil {
-		out.send(workerLine{Error: err.Error(), Kind: classifyError(err)})
-		return 0
+		ln.Error, ln.Kind = err.Error(), classifyError(err)
+	} else {
+		ln.Result = &res
 	}
-	out.send(workerLine{Result: &res})
-	return 0
-}
-
-func runJob(ctx context.Context, job jobEnvelope) (sim.Result, error) {
-	p, ok := workload.ByName(workload.Suite(), job.Trace)
-	if !ok {
-		return sim.Result{}, fmt.Errorf("unknown trace %q", job.Trace)
-	}
-	return sim.RunSingleCtx(ctx, p, job.Config)
+	out.send(ln)
+	return true
 }
 
 func classifyError(err error) string {

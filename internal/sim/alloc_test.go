@@ -43,7 +43,7 @@ func TestSteadyStateZeroAllocs(t *testing.T) {
 				t.Fatal(err)
 			}
 			p := steadyProfile()
-			sizer, err := sizerFor(p, cfg)
+			sizer, err := sizerFor(p, cfg, a)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -53,7 +53,7 @@ func TestSteadyStateZeroAllocs(t *testing.T) {
 				t.Fatal(err)
 			}
 			core := cpu.MustNewIn(a, cpu.DefaultConfig(), h)
-			stream := p.Stream()
+			stream := p.StreamIn(a)
 			ctx := context.Background()
 
 			// Warm up: touch the footprint, fill the caches, size every

@@ -269,17 +269,17 @@ type Result struct {
 }
 
 // sizerFor builds the trace's value model under the configured
-// compression algorithm.
-func sizerFor(p workload.Profile, cfg Config) (hierarchy.Sizer, error) {
+// compression algorithm, with its memos carved from a (nil: the heap).
+func sizerFor(p workload.Profile, cfg Config, a *arena.Arena) (hierarchy.Sizer, error) {
 	name := cfg.Compressor
 	if name == "" || name == "bdi" {
-		return p.Values(), nil
+		return p.ValuesIn(a, nil), nil
 	}
 	c, err := compress.ByName(name)
 	if err != nil {
 		return nil, err
 	}
-	return p.ValuesWith(c), nil
+	return p.ValuesIn(a, c), nil
 }
 
 func hierConfig(cfg Config) hierarchy.Config {
@@ -303,12 +303,12 @@ func RunSingle(p workload.Profile, cfg Config) (Result, error) {
 // anywhere in the run comes back as a *RunPanicError rather than
 // unwinding into the caller.
 func RunSingleCtx(ctx context.Context, p workload.Profile, cfg Config) (Result, error) {
-	return run(ctx, p.Name, cfg, func() (trace.Stream, hierarchy.Sizer, error) {
-		sizer, err := sizerFor(p, cfg)
+	return run(ctx, p.Name, cfg, func(a *arena.Arena) (trace.Stream, hierarchy.Sizer, error) {
+		sizer, err := sizerFor(p, cfg, a)
 		if err != nil {
 			return nil, nil, err
 		}
-		return p.Stream(), sizer, nil
+		return p.StreamIn(a), sizer, nil
 	})
 }
 
@@ -323,17 +323,18 @@ func RunStream(s trace.Stream, sizer hierarchy.Sizer, cfg Config) (Result, error
 // RunStreamCtx is RunStream with the same cancellation, deadline and
 // panic-containment semantics as RunSingleCtx.
 func RunStreamCtx(ctx context.Context, s trace.Stream, sizer hierarchy.Sizer, cfg Config) (Result, error) {
-	return run(ctx, "stream", cfg, func() (trace.Stream, hierarchy.Sizer, error) {
+	return run(ctx, "stream", cfg, func(*arena.Arena) (trace.Stream, hierarchy.Sizer, error) {
 		return s, sizer, nil
 	})
 }
 
 // run assembles and executes one single-thread run for RunSingleCtx
 // and RunStreamCtx. name labels the run in its result, errors and panic
-// forensics. input supplies the instruction stream and value model; it
-// is called after the LLC is built, so a configuration error is
-// reported before an input error.
-func run(ctx context.Context, name string, cfg Config, input func() (trace.Stream, hierarchy.Sizer, error)) (_ Result, err error) {
+// forensics. input supplies the instruction stream and value model,
+// carving any per-run state from the run's arena; it is called after
+// the LLC is built, so a configuration error is reported before an
+// input error.
+func run(ctx context.Context, name string, cfg Config, input func(*arena.Arena) (trace.Stream, hierarchy.Sizer, error)) (_ Result, err error) {
 	defer Contain(name, cfg, &err)
 	a := getArena()
 	defer putArena(a)
@@ -341,7 +342,7 @@ func run(ctx context.Context, name string, cfg Config, input func() (trace.Strea
 	if err != nil {
 		return Result{}, err
 	}
-	s, sizer, err := input()
+	s, sizer, err := input(a)
 	if err != nil {
 		return Result{}, err
 	}
@@ -465,7 +466,10 @@ func RunMixCtx(ctx context.Context, mix [4]workload.Profile, cfg Config) (_ Mult
 	)
 	hiers := make([]*hierarchy.Hierarchy, len(mix))
 	for i, p := range mix {
-		sizer, err := sizerFor(p, cfg)
+		// The four value models and generators stay on the heap: in
+		// the arena they would make every recycled arena that ever ran
+		// a mix hold four sets of memos (about 8 MB) for good.
+		sizer, err := sizerFor(p, cfg, nil)
 		if err != nil {
 			return MultiResult{}, err
 		}

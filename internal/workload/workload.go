@@ -16,6 +16,7 @@ package workload
 import (
 	"encoding/binary"
 
+	"basevictim/internal/arena"
 	"basevictim/internal/compress"
 	"basevictim/internal/trace"
 )
@@ -168,13 +169,18 @@ func thresh(p float64) uint64 {
 }
 
 // Stream returns a fresh deterministic generator for the profile.
-func (p Profile) Stream() *Generator {
+func (p Profile) Stream() *Generator { return p.StreamIn(nil) }
+
+// StreamIn is Stream with the reuse history carved from the arena (nil
+// falls back to the heap), so the generator's largest buffer lives and
+// dies with the run that owns it.
+func (p Profile) StreamIn(a *arena.Arena) *Generator {
 	g := &Generator{p: p, r: newRNG(p.Seed)}
 	for i := range g.streams {
 		g.streams[i] = uint64(g.r.intn(p.TotalLines))
 	}
 	if p.ReuseWindow > 0 && p.ReuseFrac > 0 {
-		g.hist = make([]uint64, p.ReuseWindow)
+		g.hist = arena.Make[uint64](a, p.ReuseWindow)
 	}
 	g.memT = thresh(p.MemRatio)
 	g.storeT = thresh(p.StoreFrac)
@@ -335,7 +341,13 @@ const gen0MemoCap = 1 << 20
 // ValuesWith returns the value model sized by the given compressor
 // (nil means BDI). Swapping the compressor is the paper's
 // "algorithms are orthogonal to the architecture" knob.
-func (p Profile) ValuesWith(c compress.Compressor) *Values {
+func (p Profile) ValuesWith(c compress.Compressor) *Values { return p.ValuesIn(nil, c) }
+
+// ValuesIn is ValuesWith with the memos carved from the arena (nil
+// falls back to the heap). They are the largest per-run buffers, about
+// 2 MB, so a process running many simulations keeps them in its
+// recycled arena instead of leaving them to the collector.
+func (p Profile) ValuesIn(a *arena.Arena, c compress.Compressor) *Values {
 	if c == nil {
 		c = compress.NewBDI()
 	}
@@ -343,11 +355,11 @@ func (p Profile) ValuesWith(c compress.Compressor) *Values {
 	if n > gen0MemoCap {
 		n = gen0MemoCap
 	}
-	gen0 := make([]int8, n)
+	gen0 := arena.Make[int8](a, n)
 	for i := range gen0 {
 		gen0[i] = -1
 	}
-	memoKey := make([]uint64, memoCacheSize)
+	memoKey := arena.Make[uint64](a, memoCacheSize)
 	for i := range memoKey {
 		memoKey[i] = ^uint64(0)
 	}
@@ -356,8 +368,8 @@ func (p Profile) ValuesWith(c compress.Compressor) *Values {
 		comp:    c,
 		gen0:    gen0,
 		memoKey: memoKey,
-		memoVal: make([]int8, memoCacheSize),
-		buf:     make([]byte, compress.LineSize),
+		memoVal: arena.Make[int8](a, memoCacheSize),
+		buf:     arena.Make[byte](a, compress.LineSize),
 	}
 }
 
