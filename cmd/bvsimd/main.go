@@ -21,10 +21,10 @@
 // Admission is bounded (429 + Retry-After under overload or quota),
 // each simulation runs in a supervised, reused worker process (crashes
 // and hangs retried with backoff on a fresh worker, poison runs
-// quarantined), and SIGTERM
-// or SIGINT drains gracefully: accepted work finishes and persists,
-// new work is refused with 503, and a restart with the same
-// -cache-dir serves the finished runs from disk byte-identically.
+// quarantined), and SIGTERM or SIGINT drains gracefully: accepted
+// work finishes and persists, new work is refused with 503, and a
+// restart with the same -cache-dir serves the finished runs from disk
+// byte-identically.
 //
 // Exit codes follow internal/cliexit: 0 after a clean drain, 1 error,
 // 2 usage, 4 when the drain deadline forced a hard stop, 5 when the

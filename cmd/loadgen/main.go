@@ -333,14 +333,6 @@ func slowest(samples []sample, n int) []slowRequest {
 	return rows
 }
 
-// missBudget is the instruction budget of request seq. Distinct budgets
-// make distinct checkpoint keys, so every request of a run is real
-// work instead of a cache hit: seq is unique for the whole run, and so
-// is the budget. A run of k requests asks for at most k instructions
-// more than -ins, well inside the service's admission cap at load-test
-// scale.
-func missBudget(ins, seq uint64) uint64 { return ins + seq }
-
 // oneRequest submits a single /v1/run and classifies the outcome. A
 // request cut off by the run deadline mid-flight is dropped from the
 // error tally by reporting the context's own status (0 with ctx done
@@ -355,8 +347,12 @@ func oneRequest(ctx context.Context, client *http.Client, cfg driveConfig, clien
 		}
 	}
 	body, _ := json.Marshal(map[string]any{
-		"trace":        cfg.Trace,
-		"instructions": missBudget(cfg.Ins, seq),
+		"trace": cfg.Trace,
+		// Distinct budgets make distinct checkpoint keys, so every
+		// request is real work instead of a cache hit. seq is unique for
+		// the whole run, so the budget is too; k requests ask for at most
+		// k instructions over -ins, well inside the admission cap.
+		"instructions": cfg.Ins + seq,
 		"class":        cls,
 	})
 	rctx, cancel := context.WithTimeout(ctx, cfg.Timeout)
