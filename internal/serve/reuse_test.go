@@ -40,12 +40,17 @@ func runOK(t *testing.T, s *Server, trace string, ins int) []byte {
 	return body
 }
 
-// idlePIDs lists the process IDs of the pool's idle workers.
-func idlePIDs(s *Server) []int {
+// idleWorkers returns the pool's idle workers.
+func idleWorkers(s *Server) []*proc {
 	s.pool.mu.Lock()
 	defer s.pool.mu.Unlock()
+	return append([]*proc(nil), s.pool.idle...)
+}
+
+// idlePIDs lists the process IDs of the pool's idle workers.
+func idlePIDs(s *Server) []int {
 	var pids []int
-	for _, w := range s.pool.idle {
+	for _, w := range idleWorkers(s) {
 		pids = append(pids, w.cmd.Process.Pid)
 	}
 	return pids
@@ -121,7 +126,7 @@ func TestIdleWorkerDeathCostsNoAttempt(t *testing.T) {
 	// Wait until the death is visible on the worker's stdout (its
 	// reader closes lines at EOF), so the next dispatch must notice it
 	// rather than race it.
-	if ln := recvWithin(t, s.pool.idle[0].lines, "the killed idle worker's stdout to end"); ln != (workerLine{}) {
+	if ln := recvWithin(t, idleWorkers(s)[0].lines, "the killed idle worker's stdout to end"); ln != (workerLine{}) {
 		t.Fatalf("an idle worker emitted %+v", ln)
 	}
 	got, _ := json.Marshal(decodeRun(t, runOK(t, s, "lbm.p2", 5_000)))
@@ -145,7 +150,7 @@ func TestIdleWorkerDeathCostsNoAttempt(t *testing.T) {
 func TestCancelledRunReplacesWorker(t *testing.T) {
 	s := reuseServer(t, Config{Workers: 1})
 	resp, body := postJSON(t, "http://"+s.Addr()+"/v1/run",
-		map[string]any{"trace": "mcf.p1", "instructions": 200_000_000, "timeout_ms": 100})
+		map[string]any{"trace": "mcf.p1", "instructions": 200_000_000, "timeout_ms": 500})
 	if resp.StatusCode != http.StatusGatewayTimeout {
 		t.Fatalf("status %d (%s), want 504", resp.StatusCode, body)
 	}
