@@ -97,16 +97,23 @@ func (s *typedSlab[T]) alloc(n int) []T {
 // Arena hands out typed slices with slab allocation and wholesale
 // reuse. The zero Arena is not usable; call New.
 type Arena struct {
-	byType map[reflect.Type]slab
+	slabs map[slabKey]slab
 	// order keeps a deterministic Reset sequence (map iteration order
 	// is randomized; resets are independent, but a fixed order keeps
 	// the arena boring to reason about).
 	order []slab
 }
 
+// slabKey names a slab: its element type and the group it serves ("" for
+// plain Make).
+type slabKey struct {
+	t     reflect.Type
+	group string
+}
+
 // New returns an empty arena.
 func New() *Arena {
-	return &Arena{byType: make(map[reflect.Type]slab)}
+	return &Arena{slabs: make(map[slabKey]slab)}
 }
 
 // Reset recycles every slab: its chunks are kept (or merged into one,
@@ -133,7 +140,15 @@ func (a *Arena) Chunks() int {
 // Make returns a zeroed []T of length (and capacity) n carved from the
 // arena. A nil arena degrades to plain make, so code paths can thread
 // an optional arena without branching at every call site.
-func Make[T any](a *Arena, n int) []T {
+func Make[T any](a *Arena, n int) []T { return MakeGroup[T](a, "", n) }
+
+// MakeGroup is Make from a slab kept apart for group. Carves whose
+// sizes change from run to run while their neighbours' stay fixed (an
+// LLC's tag arrays change with the organization) belong in a group:
+// when a reused arena has to grow for them, only their own slab grows,
+// instead of the fixed carves after them spilling into a new chunk and
+// stranding the tail of the old one for that run.
+func MakeGroup[T any](a *Arena, group string, n int) []T {
 	if a == nil {
 		return make([]T, n)
 	}
@@ -144,11 +159,11 @@ func Make[T any](a *Arena, n int) []T {
 		//lint:allow exitcode same panic the builtin make would raise
 		panic("arena: negative length")
 	}
-	key := reflect.TypeFor[T]()
-	s, ok := a.byType[key].(*typedSlab[T])
+	key := slabKey{reflect.TypeFor[T](), group}
+	s, ok := a.slabs[key].(*typedSlab[T])
 	if !ok {
 		s = &typedSlab[T]{}
-		a.byType[key] = s
+		a.slabs[key] = s
 		a.order = append(a.order, s)
 	}
 	return s.alloc(n)

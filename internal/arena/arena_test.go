@@ -82,6 +82,28 @@ func TestOversizedAllocationGetsOwnChunk(t *testing.T) {
 	}
 }
 
+// TestGroupsHaveTheirOwnSlabs: a grouped carve of the same type comes
+// from its own slab, so growing it leaves the ungrouped slab alone.
+func TestGroupsHaveTheirOwnSlabs(t *testing.T) {
+	a := New()
+	plain := Make[uint64](a, 100)
+	grouped := MakeGroup[uint64](a, "tags", 100)
+	if &plain[0] == &grouped[0] || a.Chunks() != 2 {
+		t.Fatalf("grouped carve shares the plain slab (%d chunks, want 2)", a.Chunks())
+	}
+	a.Reset()
+	Make[uint64](a, 100)
+	MakeGroup[uint64](a, "tags", 3*chunkElems) // the group grows...
+	if got := a.Chunks(); got != 3 {
+		t.Fatalf("%d chunks after the group grew, want 3", got)
+	}
+	a.Reset()
+	plain2 := Make[uint64](a, 100) // ...and the plain slab is untouched
+	if &plain2[0] != &plain[0] {
+		t.Fatal("growing a group moved the plain slab's carves")
+	}
+}
+
 func TestDistinctTypesDistinctSlabs(t *testing.T) {
 	a := New()
 	ints := Make[int](a, 4)
@@ -167,7 +189,7 @@ func TestResetMergesToHighWater(t *testing.T) {
 		}
 	}
 	// The merged chunk is sized to the largest cycle, not the sum.
-	if s := a.byType[reflect.TypeFor[uint32]()].(*typedSlab[uint32]); len(s.chunks[0]) != 8194 {
+	if s := a.slabs[slabKey{t: reflect.TypeFor[uint32]()}].(*typedSlab[uint32]); len(s.chunks[0]) != 8194 {
 		t.Fatalf("merged chunk holds %d elements, want the 8194-element high-water mark", len(s.chunks[0]))
 	}
 }

@@ -8,6 +8,9 @@ import "basevictim/internal/arena"
 // all-zero line legitimately has segs == 0.
 const invalidAddr = ^uint64(0)
 
+// tagGroup is the arena group of the organizations' tag arrays.
+const tagGroup = "ccache.tags"
+
 // tagStore is a structure-of-arrays tag partition. The per-access find
 // scan — the hottest code in every organization — walks only the dense
 // address array; dirty bits and sizes live in sidecar arrays touched
@@ -21,11 +24,14 @@ type tagStore struct {
 	segs  []uint8 // 0..WaySegments
 }
 
+// newTagStore carves the arrays from the arena's tag group: their size
+// depends on the organization, so it stays out of the way of the run's
+// fixed-size carves (see arena.MakeGroup).
 func newTagStore(a *arena.Arena, n int) tagStore {
 	s := tagStore{
-		addrs: arena.Make[uint64](a, n),
-		dirty: arena.Make[bool](a, n),
-		segs:  arena.Make[uint8](a, n),
+		addrs: arena.MakeGroup[uint64](a, tagGroup, n),
+		dirty: arena.MakeGroup[bool](a, tagGroup, n),
+		segs:  arena.MakeGroup[uint8](a, tagGroup, n),
 	}
 	for i := range s.addrs {
 		s.addrs[i] = invalidAddr
