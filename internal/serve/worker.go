@@ -34,6 +34,7 @@ import (
 	"io"
 	"runtime/debug"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"basevictim/internal/check"
@@ -100,18 +101,20 @@ func (w *lineWriter) send(ln workerLine) {
 // stdin until EOF and returns the process exit code; protocol-level
 // failures (undecodable envelope) are the only nonzero exits.
 //
-// Between jobs, after the terminal line is out, the worker collects
-// the finished job's garbage and returns the freed pages to the OS
-// (debug.FreeOSMemory, about 0.2 ms with the worker's pointer-free
-// arena heap). The simulation arena itself is held for the worker's
-// life (internal/sim), so each job starts from the same live state
-// and a reused worker's resident peak stays that of a one-job worker,
+// After each terminal line the worker collects the finished job's
+// garbage and returns the freed pages to the OS (debug.FreeOSMemory).
+// That takes about 1 ms, so it runs beside the wait for the next
+// envelope rather than in front of it, and at most once at a time.
+// The simulation arena itself is held for the worker's life
+// (internal/sim), so each job starts from the same live state and a
+// reused worker's resident peak stays close to a one-job worker's,
 // with no memory limit to slow a run whose live state is large.
 func WorkerMain(ctx context.Context, stdin io.Reader, stdout, stderr io.Writer) int {
 	dec := json.NewDecoder(stdin)
 	dec.DisallowUnknownFields()
 	out := &lineWriter{enc: json.NewEncoder(stdout)}
 	suite := workload.Suite()
+	var cleaning atomic.Bool // a FreeOSMemory is in progress
 	for {
 		var job jobEnvelope
 		if err := dec.Decode(&job); err != nil {
@@ -124,7 +127,12 @@ func WorkerMain(ctx context.Context, stdin io.Reader, stdout, stderr io.Writer) 
 		if !serveJob(ctx, job, suite, out) {
 			return 0
 		}
-		debug.FreeOSMemory()
+		if cleaning.CompareAndSwap(false, true) {
+			go func() {
+				defer cleaning.Store(false)
+				debug.FreeOSMemory()
+			}()
+		}
 	}
 }
 
