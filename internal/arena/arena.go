@@ -1,12 +1,13 @@
 // Package arena provides slab allocation for per-run simulator state.
 //
 // A simulation run allocates a few dozen large, flat arrays (tag
-// stores, replacement-policy metadata, prefetch tables, value-model
-// memos) at setup and then must not allocate at all in steady state.
-// An Arena turns those setup allocations into carve-outs from a small
-// number of reusable chunks: one run's worth of state costs a handful
-// of heap objects instead of hundreds, and a pooled Arena reused
-// across runs (see internal/sim) costs none after the first.
+// stores, replacement-policy metadata, prefetch tables, generator
+// reuse histories) at setup and then must not allocate at all in
+// steady state. An Arena turns those setup allocations into carve-outs
+// from a small number of reusable chunks: one run's worth of state
+// costs a handful of heap objects instead of hundreds, and a pooled
+// Arena reused across runs (see internal/sim) costs none after the
+// first.
 //
 // Arenas are deliberately dumb: grow-only typed slabs with a wholesale
 // Reset. There is no per-object free, which is exactly the lifetime

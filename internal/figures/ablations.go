@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 
+	"basevictim/internal/compress"
 	"basevictim/internal/stats"
 	"basevictim/internal/workload"
 )
@@ -96,18 +97,8 @@ func (s *Session) CompressorAblation(ctx context.Context) (Table, error) {
 	return t, nil
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 func sizerForAblation(p workload.Profile, alg string) (*workload.Values, error) {
-	if alg == "bdi" {
-		return p.Values(), nil
-	}
-	c, err := compressByName(alg)
+	c, err := compress.ByName(alg)
 	if err != nil {
 		return nil, err
 	}

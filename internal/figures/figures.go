@@ -16,8 +16,6 @@ import (
 	"sync"
 	"time"
 
-	"basevictim/internal/compress"
-
 	"basevictim/internal/obs"
 	otrace "basevictim/internal/obs/trace"
 	"basevictim/internal/sim"
@@ -528,10 +526,4 @@ func (s *Session) lineGraph(ctx context.Context, id, title string, ps []workload
 		fmt.Sprintf("DRAM read geomean %.3f", stats.GeoMean(reads)),
 	)
 	return t, nil
-}
-
-// compressByName resolves a compressor for ablations; split out so the
-// ablation file stays free of the compress import details.
-func compressByName(name string) (compress.Compressor, error) {
-	return compress.ByName(name)
 }

@@ -108,16 +108,6 @@ type Hierarchy struct {
 
 	sizer Sizer
 	gen   *flatmap.Map[uint32]
-	// genFilter is a one-hash Bloom filter over gen's keys: most lines
-	// are never written back from the L2, so most segsOf calls can
-	// prove gen == 0 from one bit instead of a map lookup. Bits are
-	// only ever set (no deletion), so a clear bit is authoritative.
-	genFilter []uint64
-	// segsLine/segsVal is a direct-mapped cache of segsOf answers,
-	// kept current by writebackToLLC (see segsOf). An all-ones line is
-	// unreachable and marks an empty slot.
-	segsLine []uint64
-	segsVal  []int8
 
 	// AddrOffset shifts this core's addresses so multi-program cores
 	// do not alias in the shared LLC (distinct address spaces).
@@ -170,13 +160,7 @@ func NewIn(a *arena.Arena, cfg Config, llc ccache.Org, mem *dram.System, sizer S
 	h := &Hierarchy{
 		cfg: cfg, L1I: l1i, L1D: l1d, L2: l2,
 		LLC: llc, Mem: mem, sizer: sizer,
-		gen:       flatmap.New[uint32](1 << 12),
-		genFilter: arena.Make[uint64](a, genFilterWords),
-		segsLine:  arena.Make[uint64](a, segsCacheSize),
-		segsVal:   arena.Make[int8](a, segsCacheSize),
-	}
-	for i := range h.segsLine {
-		h.segsLine[i] = ^uint64(0)
+		gen: flatmap.New[uint32](1 << 12),
 	}
 	h.hinter, _ = llc.(ccache.EvictionHinter)
 	if _, ok := ccache.Root(llc).(*ccache.Uncompressed); !ok {
@@ -210,59 +194,20 @@ func (h *Hierarchy) Prefetchers() (l1, l2, llc *prefetch.Prefetcher) {
 	return h.pfL1, h.pfL2, h.pfLLC
 }
 
-// genFilterWords sizes the written-back filter: 2^16 bits (8 KB) keeps
-// the false-positive rate negligible for the tens of thousands of
-// distinct written-back lines a typical run produces.
-const genFilterWords = 1 << 10
-
-// genBit returns the filter word index and mask for a line.
-func genBit(line uint64) (int, uint64) {
-	hash := (line * 0x9E3779B97F4A7C15) >> 48
-	return int(hash >> 6), 1 << (hash & 63)
-}
-
 // genOf returns how many times the line has been written back from the
-// L2, consulting the map only when the filter says it might be nonzero.
+// L2 (0 for a line never written back).
 //
 //bv:steadystate
 func (h *Hierarchy) genOf(line uint64) uint32 {
-	w, m := genBit(line)
-	if h.genFilter[w]&m == 0 {
-		return 0
-	}
 	g, _ := h.gen.Get(line)
 	return g
 }
 
-// segsCacheSize is the direct-mapped compressed-size cache: 2^16
-// entries comfortably cover the LLC's line working set, so the common
-// "size this line again" query is one array probe instead of a filter
-// check, a generation lookup and a sizer memo lookup.
-const (
-	segsCacheBits = 18
-	segsCacheSize = 1 << segsCacheBits
-)
-
-// segsIdx maps a line to its segs-cache slot.
-func segsIdx(line uint64) int {
-	return int((line * 0x9E3779B97F4A7C15) >> (64 - segsCacheBits))
-}
-
 // segsOf returns the compressed size of the line's current contents.
-// The answer is cached per line; writebackToLLC is the only event that
-// changes a line's generation and it rewrites the entry, so a cache
-// hit is always current.
 //
 //bv:steadystate
 func (h *Hierarchy) segsOf(line uint64) int {
-	i := segsIdx(line)
-	if h.segsLine[i] == line {
-		return int(h.segsVal[i])
-	}
-	s := h.sizer.Segments(line, h.genOf(line))
-	h.segsLine[i] = line
-	h.segsVal[i] = int8(s)
-	return s
+	return h.sizer.Segments(line, h.genOf(line))
 }
 
 // Load performs a demand data read of addr at time now, returning the
@@ -463,11 +408,7 @@ func (h *Hierarchy) fillL2(line uint64) {
 func (h *Hierarchy) writebackToLLC(line uint64) {
 	g := h.genOf(line) + 1
 	h.gen.Put(line, g)
-	w, m := genBit(line)
-	h.genFilter[w] |= m
 	segs := h.sizer.Segments(line, g)
-	h.segsLine[segsIdx(line)] = line
-	h.segsVal[segsIdx(line)] = int8(segs)
 	h.Stats.Compressions++
 	h.Stats.LLCDataWrites++
 	r := h.LLC.Access(line, true, segs)

@@ -11,11 +11,10 @@ import (
 )
 
 // steadyProfile is a load-only workload: with no stores there are no
-// L2 writebacks, so the per-line generation counters stay at zero and
-// the value-model memo key space is finite. That makes "zero heap
-// allocations at steady state" a sharp property instead of an
-// amortized one (write churn grows the memo tables forever, which is
-// real state growth, not hot-path garbage).
+// L2 writebacks, so the hierarchy's per-line generation map never
+// grows. That makes "zero heap allocations at steady state" a sharp
+// property instead of an amortized one (stores grow the gen map, which
+// is real state growth, not hot-path garbage).
 func steadyProfile() workload.Profile {
 	return workload.Profile{
 		Name:     "alloc-guard",
@@ -43,7 +42,7 @@ func TestSteadyStateZeroAllocs(t *testing.T) {
 				t.Fatal(err)
 			}
 			p := steadyProfile()
-			sizer, err := sizerFor(p, cfg, a)
+			sizer, err := sizerFor(p, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -56,8 +55,8 @@ func TestSteadyStateZeroAllocs(t *testing.T) {
 			stream := p.StreamIn(a)
 			ctx := context.Background()
 
-			// Warm up: touch the footprint, fill the caches, size every
-			// line once, settle the prefetch streams.
+			// Warm up: touch the footprint, fill the caches, size lines,
+			// settle the prefetch streams.
 			if _, err := core.RunCtx(ctx, stream, 400_000); err != nil {
 				t.Fatal(err)
 			}

@@ -8,8 +8,8 @@ import (
 )
 
 // Per-run arenas: a run's cache tag arrays, ROB, prefetcher state and
-// value-model memos are carved from one arena and returned when the
-// run ends, so repeated runs (sweeps, pairs, parallel sessions, a
+// generator reuse history are carved from one arena and returned when
+// the run ends, so repeated runs (sweeps, pairs, parallel sessions, a
 // long-lived service worker) stop exercising the heap for their
 // largest allocations.
 //

@@ -269,17 +269,17 @@ type Result struct {
 }
 
 // sizerFor builds the trace's value model under the configured
-// compression algorithm, with its memos carved from a (nil: the heap).
-func sizerFor(p workload.Profile, cfg Config, a *arena.Arena) (hierarchy.Sizer, error) {
+// compression algorithm.
+func sizerFor(p workload.Profile, cfg Config) (hierarchy.Sizer, error) {
 	name := cfg.Compressor
 	if name == "" || name == "bdi" {
-		return p.ValuesIn(a, nil), nil
+		return p.Values(), nil
 	}
 	c, err := compress.ByName(name)
 	if err != nil {
 		return nil, err
 	}
-	return p.ValuesIn(a, c), nil
+	return p.ValuesWith(c), nil
 }
 
 func hierConfig(cfg Config) hierarchy.Config {
@@ -304,7 +304,7 @@ func RunSingle(p workload.Profile, cfg Config) (Result, error) {
 // unwinding into the caller.
 func RunSingleCtx(ctx context.Context, p workload.Profile, cfg Config) (Result, error) {
 	return run(ctx, p.Name, cfg, func(a *arena.Arena) (trace.Stream, hierarchy.Sizer, error) {
-		sizer, err := sizerFor(p, cfg, a)
+		sizer, err := sizerFor(p, cfg)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -466,10 +466,10 @@ func RunMixCtx(ctx context.Context, mix [4]workload.Profile, cfg Config) (_ Mult
 	)
 	hiers := make([]*hierarchy.Hierarchy, len(mix))
 	for i, p := range mix {
-		// The four value models and generators stay on the heap: in
-		// the arena they would make every recycled arena that ever ran
-		// a mix hold four sets of memos (about 8 MB) for good.
-		sizer, err := sizerFor(p, cfg, nil)
+		// The four generators stay on the heap: in the arena their
+		// reuse histories would raise the high-water mark of every
+		// recycled arena that ever ran a mix, for good.
+		sizer, err := sizerFor(p, cfg)
 		if err != nil {
 			return MultiResult{}, err
 		}

@@ -277,100 +277,27 @@ func logApprox(x float64) float64 {
 
 // Values is the profile's value model: it synthesizes line contents
 // per (line, generation) and compresses them with a real compressor
-// (BDI by default), memoizing the resulting segment counts. It
-// implements hierarchy.Sizer. A Values is owned by one run; it is not
-// safe for concurrent use (parallel sessions build one per run).
+// (BDI by default). It implements hierarchy.Sizer. A Values is owned by
+// one run; it is not safe for concurrent use (parallel sessions build
+// one per run).
 type Values struct {
 	p    Profile
 	comp compress.Compressor
-	// gen0 memoizes generation-0 sizes for the data footprint — the
-	// overwhelmingly common Segments query — in a flat slice (-1 =
-	// not yet sized), avoiding per-run map churn on the hot path.
-	gen0 []int8
-	// memoKey/memoVal cover everything gen0 cannot: written lines
-	// (gen > 0) and lines outside the footprint (instruction fetches,
-	// offset multi-program address spaces). Keys are (line, gen) packed
-	// as line<<genBits | gen; every shipped address layout stays well
-	// under the line<2^44 bound (the widest is the multi-program
-	// AddrOffset at 4<<44 bytes, line ~2^40), and a generation would
-	// need a million write-backs of one line to overflow genBits, so
-	// out-of-range pairs are simply sized unmemoized. The cache is
-	// direct-mapped rather than an exact map: sizes are pure functions
-	// of the key, so a collision just recomputes, and a fixed footprint
-	// keeps the lookup one predictable probe instead of a growing
-	// open-addressed table that churn workloads push out of the host's
-	// caches. An all-ones key marks an empty slot (a real all-ones key
-	// would need line = 2^44-1 at gen = 2^20-1; it would merely never
-	// cache).
-	memoKey []uint64
-	memoVal []int8
-	buf     []byte
-}
-
-// memoCacheBits sizes the direct-mapped (line, gen) size cache.
-const (
-	memoCacheBits = 17
-	memoCacheSize = 1 << memoCacheBits
-)
-
-// memoIdx maps a packed key to its cache slot.
-func memoIdx(key uint64) int {
-	return int((key * 0x9E3779B97F4A7C15) >> (64 - memoCacheBits))
-}
-
-// genBits is the width of the generation field in packed memo keys.
-const genBits = 20
-
-// packKey packs (line, gen) into a single memo key. ok is false when
-// the pair does not fit, in which case the caller skips memoization.
-func packKey(line uint64, gen uint32) (uint64, bool) {
-	if line >= 1<<(64-genBits) || gen >= 1<<genBits {
-		return 0, false
-	}
-	return line<<genBits | uint64(gen), true
+	buf  []byte
 }
 
 // Values returns the profile's value model under BDI, the paper's
 // compression algorithm.
 func (p Profile) Values() *Values { return p.ValuesWith(nil) }
 
-// gen0MemoCap bounds the flat generation-0 memo so huge footprints do
-// not pre-allocate more than 1 MB per run.
-const gen0MemoCap = 1 << 20
-
 // ValuesWith returns the value model sized by the given compressor
 // (nil means BDI). Swapping the compressor is the paper's
 // "algorithms are orthogonal to the architecture" knob.
-func (p Profile) ValuesWith(c compress.Compressor) *Values { return p.ValuesIn(nil, c) }
-
-// ValuesIn is ValuesWith with the memos carved from the arena (nil
-// falls back to the heap). They are the largest per-run buffers, about
-// 2 MB, so a process running many simulations keeps them in its
-// recycled arena instead of leaving them to the collector.
-func (p Profile) ValuesIn(a *arena.Arena, c compress.Compressor) *Values {
+func (p Profile) ValuesWith(c compress.Compressor) *Values {
 	if c == nil {
 		c = compress.NewBDI()
 	}
-	n := p.TotalLines
-	if n > gen0MemoCap {
-		n = gen0MemoCap
-	}
-	gen0 := arena.Make[int8](a, n)
-	for i := range gen0 {
-		gen0[i] = -1
-	}
-	memoKey := arena.Make[uint64](a, memoCacheSize)
-	for i := range memoKey {
-		memoKey[i] = ^uint64(0)
-	}
-	return &Values{
-		p:       p,
-		comp:    c,
-		gen0:    gen0,
-		memoKey: memoKey,
-		memoVal: arena.Make[int8](a, memoCacheSize),
-		buf:     arena.Make[byte](a, compress.LineSize),
-	}
+	return &Values{p: p, comp: c, buf: make([]byte, compress.LineSize)}
 }
 
 // classOf assigns a value class from the profile's mix. Write churn
@@ -436,35 +363,11 @@ func (v *Values) fillClass(dst []byte, line uint64, gen uint32, class ValueClass
 	}
 }
 
-// Segments implements the hierarchy's Sizer: the BDI-compressed size
+// Segments implements the hierarchy's Sizer: the compressed size
 // of the line's current contents, in 4-byte segments.
 //
 //bv:steadystate
 func (v *Values) Segments(line uint64, gen uint32) int {
-	if gen == 0 && line < uint64(len(v.gen0)) {
-		if s := v.gen0[line]; s >= 0 {
-			return int(s)
-		}
-		segs := v.size(line, 0)
-		v.gen0[line] = int8(segs)
-		return segs
-	}
-	key, fits := packKey(line, gen)
-	if !fits {
-		return v.size(line, gen)
-	}
-	i := memoIdx(key)
-	if v.memoKey[i] == key {
-		return int(v.memoVal[i])
-	}
-	segs := v.size(line, gen)
-	v.memoKey[i] = key
-	v.memoVal[i] = int8(segs)
-	return segs
-}
-
-// size synthesizes and compresses the line's contents (no memo).
-func (v *Values) size(line uint64, gen uint32) int {
 	class := v.classOf(line, gen)
 	if class == VZero {
 		// fillClass writes all zeros for VZero, so the path below

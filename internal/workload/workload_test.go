@@ -131,64 +131,51 @@ func TestCompressibilityCalibration(t *testing.T) {
 	}
 }
 
+// TestValuesRoundTripThroughBDI pins Segments to direct compression of
+// FillLine's contents, under every compressor, for every kind of line
+// the hierarchy sizes: the data footprint at generation 0, written
+// lines, lines past the footprint, the offset address spaces of
+// multi-program cores and the code region instruction fetches touch.
 func TestValuesRoundTripThroughBDI(t *testing.T) {
 	all := Suite()
 	p, _ := ByName(all, "soplex.p1")
-	v := p.Values()
-	bdi := compress.NewBDI()
-	buf := make([]byte, compress.LineSize)
-	for line := uint64(0); line < 500; line++ {
-		class := v.FillLine(buf, line, 0)
-		segs := v.Segments(line, 0)
-		wantSegs := compress.SegmentsFor(bdi.CompressedSize(buf), 4)
-		if compress.IsZeroLine(buf) {
-			wantSegs = 0
-		}
-		if segs != wantSegs {
-			t.Fatalf("line %d class %v: Segments=%d, direct BDI=%d", line, class, segs, wantSegs)
-		}
-		// Class sanity: zero lines must really be zero.
-		if class == VZero && !compress.IsZeroLine(buf) {
-			t.Fatal("VZero line has nonzero bytes")
-		}
-	}
-}
-
-func TestValuesMemoized(t *testing.T) {
-	all := Suite()
-	v := all[0].Values()
-	a := v.Segments(42, 0)
-	b := v.Segments(42, 0)
-	if a != b {
-		t.Fatal("memoized size changed")
-	}
-	if v.gen0[42] != int8(a) {
-		t.Fatalf("gen-0 memo slot holds %d, want %d", v.gen0[42], a)
-	}
-	// Written lines and out-of-footprint lines take the direct-mapped
-	// cache path.
-	w := v.Segments(42, 1)
-	if v.Segments(42, 1) != w {
-		t.Fatal("memoized written size changed")
-	}
-	far := uint64(len(v.gen0)) + 100
-	f := v.Segments(far, 0)
-	if v.Segments(far, 0) != f {
-		t.Fatal("memoized out-of-footprint size changed")
-	}
-	for _, c := range []struct {
+	type probe struct {
 		line uint64
 		gen  uint32
-		want int
-	}{{42, 1, w}, {far, 0, f}} {
-		key, ok := packKey(c.line, c.gen)
-		if !ok {
-			t.Fatalf("packKey(%d, %d) does not fit", c.line, c.gen)
-		}
-		i := memoIdx(key)
-		if v.memoKey[i] != key || v.memoVal[i] != int8(c.want) {
-			t.Fatalf("memo slot for (%d, %d) holds (key %#x, val %d), want (key %#x, val %d)",
-				c.line, c.gen, v.memoKey[i], v.memoVal[i], key, c.want)
+	}
+	var probes []probe
+	for line := uint64(0); line < 500; line++ {
+		probes = append(probes, probe{line, 0})
+	}
+	for gen := uint32(1); gen <= 3; gen++ {
+		probes = append(probes, probe{42, gen})
+	}
+	past := uint64(p.TotalLines)
+	probes = append(probes, probe{past, 0}, probe{past + 100, 2})
+	for i := uint64(0); i < 4; i++ {
+		space := (i + 1) << 44 >> 6 // line address of core i's AddrOffset
+		probes = append(probes, probe{space + 42, 0}, probe{space + 42, 1})
+	}
+	code := uint64(1) << 40 >> 6 // line address of the default CodeBase
+	probes = append(probes, probe{code, 0}, probe{code + 7, 0})
+
+	buf := make([]byte, compress.LineSize)
+	for _, c := range []compress.Compressor{compress.NewBDI(), compress.NewFPC(), compress.NewCPack()} {
+		v := p.ValuesWith(c)
+		for _, pr := range probes {
+			class := v.FillLine(buf, pr.line, pr.gen)
+			wantSegs := compress.SegmentsFor(c.CompressedSize(buf), 4)
+			if compress.IsZeroLine(buf) {
+				wantSegs = 0
+			}
+			if segs := v.Segments(pr.line, pr.gen); segs != wantSegs {
+				t.Fatalf("%s line %#x gen %d class %v: Segments=%d, direct=%d",
+					c.Name(), pr.line, pr.gen, class, segs, wantSegs)
+			}
+			// Class sanity: zero lines must really be zero.
+			if class == VZero && !compress.IsZeroLine(buf) {
+				t.Fatal("VZero line has nonzero bytes")
+			}
 		}
 	}
 }
